@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .core import make_extension_spec
 from .errors import (
     FunctionDomainError,
+    InvalidInput,
     PoleError,
     QuadratureFailure,
     RadialSpecError,
@@ -43,22 +43,6 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_POLE = 4
 EXIT_QUADRATURE = 5
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("RSS_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(min(n, numba.get_num_threads()))
-    except ImportError:
-        pass
 
 
 def _fmt(x) -> str:
@@ -104,6 +88,12 @@ def _spec_from_args(args):
     return make_extension_spec(args.l, args.xi, args.kappa)
 
 
+def _r_grid(args):
+    if args.n_points < 1:
+        raise InvalidInput("--n-points must be at least 1")
+    return np.linspace(args.r_min, args.r_max, args.n_points)
+
+
 def _add_spec_args(p):
     p.add_argument("--l", type=int, required=True, help="angular momentum (1 or 2)")
     p.add_argument("--xi", type=int, required=True, help="boundary family (1 or 2)")
@@ -121,8 +111,8 @@ def cmd_eigfun(args) -> int:
     spec = _spec_from_args(args)
     if args.lam <= 0:
         raise RadialSpecError("--lambda must be positive")
+    r = _r_grid(args)
     e = continuous_eigenfunction(spec, args.lam)
-    r = np.linspace(args.r_min, args.r_max, args.n_points)
     u = np.real(eval_radial(e.u, r))
     write_rows(args.output, args.format, ("r", "u"), zip(r, u))
     return EXIT_OK
@@ -132,7 +122,7 @@ def cmd_resolvent(args) -> int:
     spec = _spec_from_args(args)
     z = complex(args.z_re, args.z_im)
     validate_sector(z, allow_boundary=False)
-    r = np.linspace(args.r_min, args.r_max, args.n_points)
+    r = _r_grid(args)
     header = ["r", "s", "re_R", "im_R"]
     if args.split:
         for part in ("R0", "R1", "R2", "Rg"):
@@ -237,6 +227,7 @@ def cmd_transform(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
+    r = _r_grid(args)
     b = bound_state(spec)
     if b is None:
         print("no bound state")
@@ -247,7 +238,6 @@ def cmd_spectrum(args) -> int:
     print(f"z_p = {_fmt(b.z_p.real)} + {_fmt(b.z_p.imag)}i")
     print(f"energy = {_fmt(b.energy)}")
     print(f"norm = {np.sqrt(float(np.real(norm2))):.8f}")
-    r = np.linspace(args.r_min, args.r_max, args.n_points)
     v = np.real(eval_radial(b.v, r))
     write_rows(args.output, args.format, ("r", "v"), zip(r, v))
     return EXIT_OK
@@ -310,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

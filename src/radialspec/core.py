@@ -22,6 +22,11 @@ RATE_MERGE_RTOL = 1e-14
 REGULARITY_TOL = 1e-12
 
 
+def _phase(x: float) -> complex:
+    """e^{i pi x}, the unit phase every closed form is written in."""
+    return complex(np.exp(1j * np.pi * x))
+
+
 @dataclass(frozen=True)
 class Kappa:
     """Extension parameter as a projective pair; den == 0 encodes +infinity."""
@@ -30,6 +35,8 @@ class Kappa:
     den: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.num) and math.isfinite(self.den)):
+            raise InvalidSpec(f"kappa pair ({self.num}, {self.den}) is not finite")
         if self.num == 0.0 and self.den == 0.0:
             raise InvalidSpec("kappa pair (0, 0) is not a projective point")
 

@@ -12,15 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExponentialSum, RadialFunction
+from .core import ExponentialSum, RadialFunction, _phase
 from .errors import DomainError, InternalInconsistency, InvalidInput, Unsupported
 from .rayleigh import eval_radial, t3_termwise
 
 _EPS = 1e-300
-
-
-def _phase(x: float) -> complex:
-    return complex(np.exp(1j * np.pi * x))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from math import factorial
 
 import numpy as np
 
-from . import _kernels
 from .core import ExponentialSum, Jet6, RadialFunction, VALID_L
 from .errors import DomainError, InvalidSpec, SingularityError, Unsupported
 
@@ -74,9 +73,7 @@ class OriginSeries:
 
     def eval(self, r):
         r = np.asarray(r, np.float64)
-        out = _kernels.eval_series(np.atleast_1d(r).ravel(), self.coefficients)
-        out = out.reshape(np.atleast_1d(r).shape)
-        return complex(out[0]) if r.ndim == 0 else out
+        return _shaped_like(r, _eval_series(r.ravel(), self.coefficients))
 
 
 def _require_regular(f: RadialFunction, what: str):
@@ -118,27 +115,27 @@ def term_data(f: RadialFunction):
     return np.asarray(f.base.rates, np.complex128), polys
 
 
-def eval_radial(f: RadialFunction, r):
-    """Evaluate f at r (scalar or array); r = 0 allowed for regular bases."""
-    scalar = np.isscalar(r) or np.asarray(r).ndim == 0
-    rr = np.atleast_1d(np.asarray(r, np.float64)).ravel()
-    if np.any(rr < 0.0):
-        raise DomainError("eval_radial requires r >= 0")
-    regular = f.regular_at_origin
-    if np.any(rr == 0.0) and not regular:
-        raise SingularityError("r = 0 evaluation of a non-regular function")
-    rs = r_switch(f)
-    out = np.empty(rr.shape, np.complex128)
-    near = rr <= rs if regular else np.zeros(rr.shape, bool)
-    far = ~near
-    if np.any(far):
-        rates, polys = term_data(f)
-        out[far] = _kernels.eval_terms(rr[far], rates, polys)
-    if np.any(near):
-        out[near] = origin_series(f).eval(rr[near])
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(r).shape)
+def _eval_terms(r, rates, polys):
+    """sum_k (sum_j polys[k, j] / r**j) * exp(rates[k] * r), elementwise in 1-d r."""
+    inv = 1.0 / r[:, None]
+    npow = polys.shape[1]
+    q = np.broadcast_to(polys[:, npow - 1], (r.shape[0], polys.shape[0])).copy()
+    for j in range(npow - 2, -1, -1):
+        q = q * inv + polys[:, j]
+    return np.sum(q * np.exp(np.outer(r, rates)), axis=1)
+
+
+def _eval_series(r, coefs):
+    """Horner evaluation of sum_m coefs[m] * r**m, elementwise in 1-d r."""
+    acc = np.full(r.shape, coefs[-1], np.complex128)
+    for j in range(coefs.shape[0] - 2, -1, -1):
+        acc = acc * r + coefs[j]
+    return acc
+
+
+def _shaped_like(r: np.ndarray, out: np.ndarray):
+    """Values computed on r.ravel(), as a complex for scalar r, else in r's shape."""
+    return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 def _differentiate_polys(rates, polys):
@@ -152,37 +149,51 @@ def _differentiate_polys(rates, polys):
     return out
 
 
+def _eval_split(f: RadialFunction, r: np.ndarray, order: int):
+    """Derivative of the given order at validated float64 r: the closed form
+    above r_switch(f), the origin series at or below it (regular bases only)."""
+    rr = r.ravel()
+    rs = r_switch(f)
+    out = np.empty(rr.shape, np.complex128)
+    near = rr <= rs if f.regular_at_origin else np.zeros(rr.shape, bool)
+    far = ~near
+    if np.any(far):
+        rates, polys = term_data(f)
+        for _ in range(order):
+            polys = _differentiate_polys(rates, polys)
+        out[far] = _eval_terms(rr[far], rates, polys)
+    if np.any(near):
+        n = min(MAX_SERIES_ORDER, SERIES_ORDER + order)
+        c = origin_series(f, n).coefficients
+        if order:
+            c = np.array(
+                [c[m] * factorial(m) / factorial(m - order) for m in range(order, n + 1)],
+                np.complex128,
+            )
+        out[near] = _eval_series(rr[near], c)
+    return _shaped_like(r, out)
+
+
+def eval_radial(f: RadialFunction, r):
+    """Evaluate f at r (scalar or array); r = 0 allowed for regular bases."""
+    rr = np.asarray(r, np.float64)
+    if np.any(rr < 0.0):
+        raise DomainError("eval_radial requires r >= 0")
+    if np.any(rr == 0.0) and not f.regular_at_origin:
+        raise SingularityError("r = 0 evaluation of a non-regular function")
+    return _eval_split(f, rr, 0)
+
+
 def derivative(f: RadialFunction, r, order: int = 1):
     """Analytic derivative of the given order (0..6) at r > 0."""
     if not 0 <= order <= 6:
         raise Unsupported("derivative order must be in 0..6")
     if order == 0:
         return eval_radial(f, r)
-    scalar = np.isscalar(r) or np.asarray(r).ndim == 0
-    rr = np.atleast_1d(np.asarray(r, np.float64)).ravel()
+    rr = np.asarray(r, np.float64)
     if np.any(rr <= 0.0):
         raise DomainError("derivative requires r > 0")
-    rates, polys = term_data(f)
-    for _ in range(order):
-        polys = _differentiate_polys(rates, polys)
-    regular = f.regular_at_origin
-    rs = r_switch(f)
-    out = np.empty(rr.shape, np.complex128)
-    near = rr <= rs if regular else np.zeros(rr.shape, bool)
-    far = ~near
-    if np.any(far):
-        out[far] = _kernels.eval_terms(rr[far], rates, polys)
-    if np.any(near):
-        n = min(MAX_SERIES_ORDER, SERIES_ORDER + order)
-        c = origin_series(f, n).coefficients
-        dc = np.array(
-            [c[m] * factorial(m) / factorial(m - order) for m in range(order, n + 1)],
-            np.complex128,
-        )
-        out[near] = _kernels.eval_series(rr[near], dc)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(r).shape)
+    return _eval_split(f, rr, order)
 
 
 def verify_rayleigh(l: int, chi: complex, r: float) -> float:

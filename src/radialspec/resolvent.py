@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import condition_rows
-from .core import ExponentialSum, ExtensionSpec, RadialFunction
+from .core import ExponentialSum, ExtensionSpec, RadialFunction, _phase
 from .errors import (
     DomainError,
     InternalInconsistency,
@@ -29,10 +29,6 @@ from .errors import (
 )
 from .quadrature import panel_rule
 from .rayleigh import derivative, dl_exponential, eval_radial
-
-
-def _phase(x: float) -> complex:
-    return complex(np.exp(1j * np.pi * x))
 
 
 # Power of z and kappa in the coefficient numerators and denominator p.

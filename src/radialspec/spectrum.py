@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExponentialSum, ExtensionSpec, RadialFunction
+from .core import ExponentialSum, ExtensionSpec, RadialFunction, _phase
 from .errors import DomainError, InternalInconsistency
 from .rayleigh import dl_exponential, eval_radial, t3_termwise
 from .resolvent import POLE_SCALE, kernel, pole_location
@@ -27,10 +27,6 @@ from .resolvent import POLE_SCALE, kernel, pole_location
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 # fixed scan used only to pick the overall sign of an eigenfunction
 _SIGN_SCAN = np.linspace(0.25, 6.0, 24)
-
-
-def _phase(x: float) -> complex:
-    return complex(np.exp(1j * np.pi * x))
 
 
 @dataclass(frozen=True)
@@ -44,13 +40,11 @@ class BoundState:
 
 def bound_state(spec: ExtensionSpec):
     """The bound state of the extension, or None when kappa >= 0 or infinite."""
-    if spec.kappa.is_infinite:
+    z_p = pole_location(spec)
+    if z_p is None:
         return None
     kappa = spec.kappa.value
-    if kappa >= 0:
-        return None
     c = POLE_SCALE[(spec.xi, spec.l)]
-    z_p = -c * _phase(1 / 6) * kappa
     energy = -((c * kappa) ** 6)
     rates = c * kappa * np.array([1.0, _phase(-1 / 3), _phase(1 / 3)])
     if spec.xi == 1:

@@ -20,8 +20,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import null_space
 
 from .core import ExponentialSum, ExtensionSpec, RadialFunction
 from .boundary import condition_rows
@@ -30,7 +28,7 @@ from .errors import (
     GridError,
     InvalidInput,
 )
-from .quadrature import panel_rule, quad_semiaxis  # noqa: F401  (re-export)
+from .quadrature import panel_rule
 from .rayleigh import eval_radial, t3_coefficients
 from .spectrum import bound_state, continuous_eigenfunction
 
@@ -61,6 +59,8 @@ class SampledFunction:
     def __call__(self, r):
         spline = self.__dict__.get("_spline")
         if spline is None:
+            from scipy.interpolate import CubicSpline  # deferred: slow to import
+
             spline = CubicSpline(self.grid, self.values)
             object.__setattr__(self, "_spline", spline)
         r = np.asarray(r, np.float64)
@@ -277,7 +277,10 @@ def domain_test_function(
     rows_f = condition_rows(spec, rates, include_automatic=True)
     rows_tf = [row * (-(rates**6)) for row in rows_f]
     a = np.vstack(rows_f + rows_tf).real
-    basis = null_space(a)
+    # orthonormal null space of a, with the rank cut of scipy.linalg.null_space
+    _, sv, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(sv > sv.max() * (np.finfo(sv.dtype).eps * max(a.shape))))
+    basis = vh[rank:].T
     if basis.shape[1] == 0:
         raise InvalidInput("no admissible amplitude vector for these rates")
     amps = basis[:, index % basis.shape[1]]

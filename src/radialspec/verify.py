@@ -12,7 +12,14 @@ import numpy as np
 
 from . import resolvent as _resolvent
 from .boundary import boundary_form, check_membership, membership_residuals
-from .core import ExtensionSpec, Jet6, make_extension_spec
+from .core import (
+    ExponentialSum,
+    ExtensionSpec,
+    Jet6,
+    RadialFunction,
+    _phase,
+    make_extension_spec,
+)
 from .deficiency import deficiency_indices, deficiency_solution, kernel_residual
 from .errors import InvalidInput
 from .quadrature import quad_semiaxis
@@ -316,13 +323,10 @@ def suite_limits(seed: int = 0):
     ub = np.real(eval_radial(continuous_eigenfunction(s_b, lam).u, rgrid))
     out.append(_res("limits", "common extension (l=2, xi=1 kappa=0 vs xi=2 kappa=inf)", float(np.max(np.abs(ua - ub))), 1e-10))
     # the exact limiting closed form of the common extension
-    from .core import ExponentialSum, RadialFunction
-
-    E = lambda a: np.exp(1j * np.pi * a)
     ulim = RadialFunction(
         ExponentialSum(
-            [E(-1 / 6), -E(1 / 6), E(1 / 6), -E(-1 / 6)],
-            [-1j * lam, 1j * lam, -E(-1 / 6) * lam, -E(1 / 6) * lam],
+            [_phase(-1 / 6), -_phase(1 / 6), _phase(1 / 6), -_phase(-1 / 6)],
+            [-1j * lam, 1j * lam, -_phase(-1 / 6) * lam, -_phase(1 / 6) * lam],
         ),
         2,
         1j / (np.sqrt(2 * np.pi) * lam**2),

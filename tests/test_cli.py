@@ -50,6 +50,30 @@ def test_invalid_spec_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ("eigfun", "spectrum"))
+def test_nan_kappa_exit_code(capsys, command):
+    extra = ("--lambda", "1") if command == "eigfun" else ()
+    code, out, err = run(capsys, command, "--l", "1", "--xi", "1", "--kappa", "nan", *extra)
+    assert code == 2
+    assert "error" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("eigfun", "--lambda", "1"),
+        ("resolvent", "--z-re", "0.9", "--z-im", "0.4"),
+        ("spectrum",),
+    ),
+)
+def test_nonpositive_n_points_exit_code(capsys, argv):
+    code, out, err = run(
+        capsys, argv[0], "--l", "1", "--xi", "2", "--kappa", "-1", *argv[1:], "--n-points", "-1"
+    )
+    assert code == 2
+    assert "--n-points" in err and out == ""
+
+
 def test_pole_exit_code(capsys):
     zp = (2.0 / 3.0) * np.exp(1j * np.pi / 6)
     code, _, err = run(

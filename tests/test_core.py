@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import radialspec
 from radialspec import (
     ExponentialSum,
     InvalidInput,
@@ -44,6 +48,14 @@ def test_kappa_inf_only_for_l2():
 def test_kappa_zero_zero_rejected():
     with pytest.raises(InvalidSpec):
         Kappa(0.0, 0.0)
+
+
+def test_kappa_nonfinite_pair_rejected():
+    for num in (math.nan, math.inf):
+        with pytest.raises(InvalidSpec):
+            Kappa(num, 1.0)
+    assert Kappa.of(math.inf) == Kappa(1.0, 0.0)
+    assert Kappa.of("-inf") == Kappa(1.0, 0.0)
 
 
 def test_kappa_canonical_idempotent():
@@ -105,3 +117,17 @@ def test_jet6_validation():
         Jet6(np.arange(5.0))
     with pytest.raises(InvalidInput):
         Jet6([0, 0, np.nan, 0, 0, 0])
+
+
+def test_import_loads_no_package_beyond_numpy():
+    # scipy is imported only inside the routines that need it, so startup stays cheap
+    code = (
+        "import sys, numpy; before = set(sys.modules); import radialspec; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'radialspec'}))"
+    )
+    src = str(Path(radialspec.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

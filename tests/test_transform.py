@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from radialspec import (
     FunctionDomainError,
@@ -175,3 +176,21 @@ def test_domain_test_function_properties():
             assert ok
     with pytest.raises(InvalidInput):
         domain_test_function(make_extension_spec(1, 1, 0.0), -1)
+
+
+def test_domain_test_function_null_space_matches_scipy():
+    # the amplitudes are the same null-space vectors scipy.linalg.null_space gives
+    from radialspec.boundary import condition_rows
+
+    for l, xi in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for kappa in (0.0, 0.7, -1.3, 2.5) + (("inf",) if l == 2 else ()):
+            spec = make_extension_spec(l, xi, kappa)
+            nrows = len(condition_rows(spec, np.array([-1.0, -2.0]), include_automatic=True))
+            for base_rate in (0.4, 0.6, 1.5, 3.0):
+                for index in range(5):
+                    rates = -(base_rate + 0.35 * np.arange(2 * nrows + 2) + 0.11 * index)
+                    rows = condition_rows(spec, rates, include_automatic=True)
+                    a = np.vstack(rows + [row * -(rates**6) for row in rows]).real
+                    ref = scipy.linalg.null_space(a)
+                    f = domain_test_function(spec, index, base_rate)
+                    assert np.array_equal(f.base.amplitudes, ref[:, index % ref.shape[1]])
