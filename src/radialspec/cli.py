@@ -91,6 +91,8 @@ def _spec_from_args(args):
 def _r_grid(args):
     if args.n_points < 1:
         raise InvalidInput("--n-points must be at least 1")
+    if not (np.isfinite(args.r_min) and np.isfinite(args.r_max)):
+        raise InvalidInput("--r-min and --r-max must be finite")
     return np.linspace(args.r_min, args.r_max, args.n_points)
 
 
@@ -109,8 +111,6 @@ def _add_output_args(p):
 
 def cmd_eigfun(args) -> int:
     spec = _spec_from_args(args)
-    if args.lam <= 0:
-        raise RadialSpecError("--lambda must be positive")
     r = _r_grid(args)
     e = continuous_eigenfunction(spec, args.lam)
     u = np.real(eval_radial(e.u, r))

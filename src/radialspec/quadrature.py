@@ -8,6 +8,8 @@ doubling, both checked against a stability tolerance.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InvalidInput, QuadratureFailure
@@ -15,11 +17,20 @@ from .errors import InvalidInput, QuadratureFailure
 GAUSS_ORDER = 24
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def panel_rule(a: float, b: float, npanels: int, order: int = GAUSS_ORDER):
     """Nodes and weights of composite Gauss-Legendre on [a, b]."""
     if not (b > a and npanels >= 1):
         raise InvalidInput("panel_rule needs b > a and npanels >= 1")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     edges = np.linspace(a, b, npanels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])

@@ -27,6 +27,8 @@ from .errors import DomainError, InvalidSpec, SingularityError, Unsupported
 
 SERIES_ORDER = 16
 MAX_SERIES_ORDER = 24
+# r_switch = SWITCH_SCALE / max_k |chi_k|
+SWITCH_SCALE = 0.5
 
 
 def monomial_coefficient(l: int, k: int) -> float:
@@ -41,13 +43,20 @@ def monomial_coefficient(l: int, k: int) -> float:
     return out
 
 
-def exponential_poly(l: int, chi: complex) -> np.ndarray:
-    """Coefficients p_j with D_l e^{chi r} = (sum_j p_j r^{-j}) e^{chi r}."""
+def exponential_poly(l: int, chi) -> np.ndarray:
+    """Coefficients p_j with D_l e^{chi r} = (sum_j p_j r^{-j}) e^{chi r}.
+
+    For an array chi the coefficients run along a new trailing axis j.
+    """
     if l == 1:
-        return np.array([chi, -1.0], np.complex128)
-    if l == 2:
-        return np.array([chi * chi, -3.0 * chi, 3.0], np.complex128)
-    raise InvalidSpec(f"l={l} not supported")
+        cols = (chi, -1.0)
+    elif l == 2:
+        cols = (chi * chi, -3.0 * chi, 3.0)
+    else:
+        raise InvalidSpec(f"l={l} not supported")
+    if isinstance(chi, np.ndarray) and chi.ndim:
+        return np.stack(np.broadcast_arrays(*cols), axis=-1).astype(np.complex128)
+    return np.array(cols, np.complex128)
 
 
 def dl_exponential(l: int, chi: complex, r) -> complex:
@@ -86,13 +95,20 @@ def origin_series(f: RadialFunction, order: int = SERIES_ORDER) -> OriginSeries:
     _require_regular(f, "origin_series")
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise Unsupported(f"series order must be in 0..{MAX_SERIES_ORDER}")
-    a = f.scale * f.base.amplitudes
-    chi = f.base.rates
-    coefs = np.empty(order + 1, np.complex128)
-    for j in range(order + 1):
-        m = j + f.l
-        coefs[j] = monomial_coefficient(f.l, m) / factorial(m) * np.sum(a * chi**m)
+    coefs = _series_coefficients(f.l, f.scale * f.base.amplitudes, f.base.rates, order)
     return OriginSeries(coefs, order)
+
+
+def _series_coefficients(l: int, a, chi, order: int):
+    """Taylor coefficients, powers 0..order, of sum_k D_l a[..., k] e^{chi[..., k] r};
+    leading axes of a and chi give one row of coefficients each."""
+    return np.array(
+        [
+            monomial_coefficient(l, m) / factorial(m) * (a * chi**m).sum(axis=-1)
+            for m in range(l, order + l + 1)
+        ],
+        np.complex128,
+    ).T
 
 
 def jet_at_origin(f: RadialFunction) -> Jet6:
@@ -104,7 +120,7 @@ def jet_at_origin(f: RadialFunction) -> Jet6:
 def r_switch(f: RadialFunction) -> float:
     """Crossover radius below which the closed form cancels badly."""
     top = float(np.max(np.abs(f.base.rates)))
-    return 0.5 / top if top > 0.0 else 0.0
+    return SWITCH_SCALE / top if top > 0.0 else 0.0
 
 
 def term_data(f: RadialFunction):
@@ -116,20 +132,25 @@ def term_data(f: RadialFunction):
 
 
 def _eval_terms(r, rates, polys):
-    """sum_k (sum_j polys[k, j] / r**j) * exp(rates[k] * r), elementwise in 1-d r."""
+    """sum_k (sum_j polys[..., k, j] / r**j) * exp(rates[..., k] * r) at each point
+    of a 1-d r.  Leading axes of rates (..., K) and polys (..., K, P) give one
+    row of values each."""
     inv = 1.0 / r[:, None]
-    npow = polys.shape[1]
-    q = np.broadcast_to(polys[:, npow - 1], (r.shape[0], polys.shape[0])).copy()
+    npow = polys.shape[-1]
+    shape = rates.shape[:-1] + (r.shape[0], rates.shape[-1])
+    q = np.broadcast_to(polys[..., None, :, npow - 1], shape).copy()
     for j in range(npow - 2, -1, -1):
-        q = q * inv + polys[:, j]
-    return np.sum(q * np.exp(np.outer(r, rates)), axis=1)
+        q = q * inv + polys[..., None, :, j]
+    return np.sum(q * np.exp(r[:, None] * rates[..., None, :]), axis=-1)
 
 
 def _eval_series(r, coefs):
-    """Horner evaluation of sum_m coefs[m] * r**m, elementwise in 1-d r."""
-    acc = np.full(r.shape, coefs[-1], np.complex128)
-    for j in range(coefs.shape[0] - 2, -1, -1):
-        acc = acc * r + coefs[j]
+    """Horner evaluation of sum_m coefs[..., m] * r**m at each point of a 1-d r.
+    Leading axes of coefs give one row of values each; real coefs give real values."""
+    cols = np.moveaxis(coefs, -1, 0)[..., None]
+    acc = np.broadcast_to(cols[-1], coefs.shape[:-1] + r.shape).copy()
+    for c in cols[-2::-1]:
+        acc = acc * r + c
     return acc
 
 

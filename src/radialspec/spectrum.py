@@ -21,12 +21,26 @@ import numpy as np
 
 from .core import ExponentialSum, ExtensionSpec, RadialFunction, _phase
 from .errors import DomainError, InternalInconsistency
-from .rayleigh import dl_exponential, eval_radial, t3_termwise
+from .rayleigh import (
+    SERIES_ORDER,
+    SWITCH_SCALE,
+    _eval_series,
+    _eval_terms,
+    _series_coefficients,
+    dl_exponential,
+    eval_radial,
+    exponential_poly,
+    t3_termwise,
+)
 from .resolvent import POLE_SCALE, kernel, pole_location
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 # fixed scan used only to pick the overall sign of an eigenfunction
 _SIGN_SCAN = np.linspace(0.25, 6.0, 24)
+# tiles of the continuous basis: bytes of one complex temporary, and the
+# fewest lambda rows, which share their set-up (terms, series, sign)
+_BLOCK_BYTES = 1 << 19
+_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -81,8 +95,14 @@ class ContinuousEigenfunction:
     u: RadialFunction
 
 
-def _eigenfunction_terms(spec: ExtensionSpec, lam: float):
-    """(prefactor, amplitudes, rates, p) of the closed form, projective in kappa."""
+def _eigenfunction_terms(spec: ExtensionSpec, lam):
+    """(prefactor, amplitudes, rates, p) of the closed form, projective in kappa.
+
+    Written elementwise in lambda: a float gives a scalar prefactor and p and
+    four amplitudes and rates; an array of n lambdas gives shapes (n,), (n, 4),
+    (n, 4) and (n,).  Terms (0, 1) and (2, 3) of prefactor * amplitudes are
+    complex-conjugate pairs with conjugate rates, which makes u real.
+    """
     num, den = spec.kappa.num, spec.kappa.den
     xi, l = spec.xi, spec.l
     if (xi, l) == (1, 1):
@@ -117,28 +137,89 @@ def _eigenfunction_terms(spec: ExtensionSpec, lam: float):
     else:
         n5, d5 = num**5, den**5
         p = lam**5 * d5 + 2.0 * _phase(5 / 6) * n5
-        if abs(p) <= 1e-13 * (abs(lam**5 * d5) + 2.0 * abs(n5)):
+        if np.any(abs(p) <= 1e-13 * (abs(lam**5 * d5) + 2.0 * abs(n5))):
             raise InternalInconsistency("p(lambda) vanished for real kappa")
         eiphi = p / abs(p)
         c3 = -2.0 * (lam**5 * d5 - _phase(1 / 6) * n5) / abs(p)
         amps = [1.0 / eiphi, -eiphi, c3, -np.conj(c3)]
         rates = [1j * lam, -1j * lam, -_phase(-1 / 6) * lam, -_phase(1 / 6) * lam]
         pref = 1j / (_SQRT2PI * lam**2)
-    return pref, np.array(amps), np.array(rates), p
+    return pref, np.stack(amps, axis=-1), np.stack(rates, axis=-1), p
+
+
+def _canonical_signs(vals):
+    """+-1 per row of real values on _SIGN_SCAN: the sign of the first value
+    whose magnitude exceeds 5% of the row's largest."""
+    mags = np.abs(vals)
+    first = np.argmax(mags > 0.05 * np.max(mags, axis=-1, keepdims=True), axis=-1)
+    lead = np.take_along_axis(vals, first[..., None], axis=-1)[..., 0]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 def continuous_eigenfunction(spec: ExtensionSpec, lam: float) -> ContinuousEigenfunction:
     """Real continuous-spectrum eigenfunction at lambda > 0, sign-canonicalized."""
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise DomainError("lambda must be finite and positive")
     pref, amps, rates, p = _eigenfunction_terms(spec, lam)
     u = RadialFunction(ExponentialSum(amps, rates), spec.l, pref)
-    vals = np.real(eval_radial(u, _SIGN_SCAN))
-    mags = np.abs(vals)
-    idx = int(np.argmax(mags > 0.05 * np.max(mags)))
-    if vals[idx] < 0:
+    if _canonical_signs(np.real(eval_radial(u, _SIGN_SCAN))) < 0:
         u = u.rescaled(-1.0)
     return ContinuousEigenfunction(float(lam), spec, float(np.angle(p)), u)
+
+
+def _split_rows(r, radii, pair, polys, coefs):
+    """Rows of real values at sorted r >= 0 with eval_radial's split: row b
+    is the closed form 2 Re sum_k (sum_j polys[b, k, 0, j] r^-j) e^{pair[b, k, 0] r}
+    above radii[b], and the origin series with real coefs[b] at or below it."""
+    split = np.searchsorted(r, radii, side="right")
+    lo, hi = int(split.min()), int(split.max())
+    out = np.empty((radii.size, r.size))
+    if lo < r.size:
+        terms = _eval_terms(r[lo:], pair, polys).real
+        out[:, lo:] = 2.0 * terms.sum(axis=1)
+    if hi > 0:
+        near = _eval_series(r[:hi], coefs)
+        out[:, :lo] = near[:, :lo]
+        band = np.arange(lo, hi) < split[:, None]
+        out[:, lo:hi] = np.where(band, near[:, lo:], out[:, lo:hi])
+    return out
+
+
+def _basis_blocks(spec: ExtensionSpec, lam, r):
+    """Yield (rows, cols, U) over tiles of the continuous basis, with
+    U[i, j] = u^{lam[rows][i]}(r[cols][j]) at sorted r >= 0: the values of
+    continuous_eigenfunction(spec, lambda).u, real and with its sign.
+
+    A tile keeps each complex temporary within _BLOCK_BYTES, and spans all
+    of r when that still leaves _MIN_ROWS lambdas, so memory stays bounded
+    whatever the grid sizes.  u is real and its terms come in the conjugate
+    pairs (0, 1) and (2, 3), so the closed form evaluates terms 0 and 2 and
+    doubles the real part (each term as its own single-term row, which keeps
+    the term axis out of numpy's inner loops); the origin series keeps the
+    real part of its coefficients.
+    """
+    lam = np.asarray(lam, np.float64)
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise DomainError("lambda must be finite and positive")
+    # two complex closed-form terms per (lambda, r) pair
+    pairs = _BLOCK_BYTES // (2 * 16)
+    height = max(_MIN_ROWS, pairs // r.size)
+    width = pairs // height
+    for start in range(0, lam.size, height):
+        rows = slice(start, start + height)
+        pref, amps, rates, _ = _eigenfunction_terms(spec, lam[rows])
+        a = pref[:, None] * amps
+        pair = rates[:, ::2, None]
+        terms = (
+            SWITCH_SCALE / np.max(np.abs(rates), axis=-1),
+            pair,
+            a[:, ::2, None, None] * exponential_poly(spec.l, pair),
+            _series_coefficients(spec.l, a, rates, SERIES_ORDER).real,
+        )
+        signs = _canonical_signs(_split_rows(_SIGN_SCAN, *terms))[:, None]
+        for first in range(0, r.size, width):
+            cols = slice(first, first + width)
+            yield rows, cols, signs * _split_rows(r[cols], *terms)
 
 
 def realness_residual(e: ContinuousEigenfunction, npoints: int = 60) -> float:
@@ -159,7 +240,8 @@ def eigen_residual_continuous(e: ContinuousEigenfunction, npoints: int = 40) -> 
 def spectral_density(spec: ExtensionSpec, lam: float, r: float, s: float) -> float:
     """P_lambda(r, s) = u(r) u(s)."""
     u = continuous_eigenfunction(spec, lam).u
-    return float(np.real(eval_radial(u, r)) * np.real(eval_radial(u, s)))
+    ur, us = np.real(eval_radial(u, np.array([r, s], np.float64)))
+    return float(ur * us)
 
 
 def resolvent_difference_density(

@@ -11,6 +11,12 @@ Everything integrates on composite Gauss-Legendre grids: radially a uniform
 panel rule, spectrally a geometric stack near lambda = 0 (where densities
 vary fastest) joined to uniform panels narrow enough to resolve the
 oscillation e^{i lambda r_max}.
+
+On these grids the continuous part is linear algebra on the basis matrix
+U[i, j] = u^{lambda_i}(r_j): forward is c = U (f w) and inverse is
+f = (w c) U.  U is evaluated in tiles of lambda rows and r columns
+(spectrum._basis_blocks) and never held whole, so the cost is O(n_lambda n_r)
+and the memory is a fixed budget per tile, independent of the grid sizes.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import (
 )
 from .quadrature import panel_rule
 from .rayleigh import eval_radial, t3_coefficients
-from .spectrum import bound_state, continuous_eigenfunction
+from .spectrum import _basis_blocks, bound_state
 
 DEFAULT_LAMBDA_MAX = 8.0
 DEFAULT_LAMBDA_MIN = 1e-3
@@ -45,12 +51,12 @@ class SampledFunction:
     decay_rate: float = 1.0
 
     def __post_init__(self):
-        g = np.asarray(self.grid, np.float64)
+        g = _checked_grid(self.grid)
         v = np.asarray(self.values)
-        if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0) or g[0] <= 0:
-            raise InvalidInput("grid must be strictly increasing and positive")
         if v.shape != g.shape:
             raise InvalidInput("values must match the grid")
+        if not np.all(np.isfinite(v)):
+            raise InvalidInput("values must be finite")
         if self.decay_rate <= 0:
             raise InvalidInput("decay_rate must be positive")
         object.__setattr__(self, "grid", g)
@@ -67,6 +73,33 @@ class SampledFunction:
         out = spline(r)
         # treat the function as compactly supported beyond its grid
         return np.where(r > self.grid[-1], 0.0, out)
+
+
+def _checked_grid(grid) -> np.ndarray:
+    """grid as float64, or InvalidInput unless finite, positive and strictly increasing."""
+    g = np.asarray(grid, np.float64)
+    if g.ndim != 1 or g.size < 2:
+        raise InvalidInput("grid must be 1-d with at least two points")
+    if not np.all(np.isfinite(g)):
+        raise InvalidInput("grid must be finite")
+    if np.any(np.diff(g) <= 0) or g[0] <= 0:
+        raise InvalidInput("grid must be strictly increasing and positive")
+    return g
+
+
+def _check_cutoffs(r_max, lam_max):
+    """InvalidInput unless 0 < r_max < inf and 4 DEFAULT_LAMBDA_MIN < lam_max < inf.
+
+    spectral_rule joins its geometric panels to the uniform ones at
+    min(0.5, lam_max / 4), which must lie above lambda_min.
+    """
+    if not (np.isfinite(r_max) and r_max > 0):
+        raise InvalidInput(f"r_max must be finite and positive, got {r_max}")
+    if not (np.isfinite(lam_max) and lam_max > 4.0 * DEFAULT_LAMBDA_MIN):
+        raise InvalidInput(
+            f"lam_max must be finite and above 4 lambda_min = {4.0 * DEFAULT_LAMBDA_MIN}, "
+            f"got {lam_max}"
+        )
 
 
 @dataclass(frozen=True)
@@ -124,6 +157,27 @@ def spectral_rule(
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _radial_samples(f, r_max: float):
+    """Radial nodes rn and weights rw on (0, r_max), and the weighted samples f(rn) rw."""
+    fc = _as_callable(f)
+    rn, rw = radial_rule(r_max)
+    return rn, rw, np.asarray(fc(rn)) * rw
+
+
+def _project(spec: ExtensionSpec, rn, fw, r_max: float, lam_max: float):
+    """Coefficients of the weighted samples fw at the sorted radial nodes rn."""
+    lam, lw = spectral_rule(r_max, lam_max)
+    c = np.zeros(lam.shape, np.float64)
+    fr = np.real(fw)
+    for rows, cols, u in _basis_blocks(spec, lam, rn):
+        c[rows] += u @ fr[cols]
+    b = bound_state(spec)
+    cd = None
+    if b is not None:
+        cd = float(np.real(np.sum(eval_radial(b.v, rn) * fw)))
+    return SpectralCoefficients(lam, lw, c, cd)
+
+
 def forward(
     spec: ExtensionSpec,
     f,
@@ -131,30 +185,20 @@ def forward(
     lam_max: float = DEFAULT_LAMBDA_MAX,
 ) -> SpectralCoefficients:
     """c(lambda) = <u^lambda, f> on the spectral grid; includes <v, f> if bound."""
-    fc = _as_callable(f)
     if r_max is None:
         r_max = _default_r_max(f)
-    rn, rw = radial_rule(r_max)
-    fv = np.asarray(fc(rn)) * rw
-    lam, lw = spectral_rule(r_max, lam_max)
-    c = np.empty(lam.shape, np.float64)
-    for i, la in enumerate(lam):
-        u = continuous_eigenfunction(spec, la).u
-        c[i] = float(np.real(np.sum(eval_radial(u, rn) * fv)))
-    b = bound_state(spec)
-    cd = None
-    if b is not None:
-        cd = float(np.real(np.sum(eval_radial(b.v, rn) * fv)))
-    return SpectralCoefficients(lam, lw, c, cd)
+    _check_cutoffs(r_max, lam_max)
+    rn, _, fw = _radial_samples(f, r_max)
+    return _project(spec, rn, fw, r_max, lam_max)
 
 
 def inverse(spec: ExtensionSpec, coeffs: SpectralCoefficients, r_grid) -> SampledFunction:
     """Reconstruct f(r) = integral c(lambda) u^lambda(r) dlambda + discrete part."""
-    r_grid = np.asarray(r_grid, np.float64)
+    r_grid = _checked_grid(r_grid)
     acc = np.zeros(r_grid.shape, np.float64)
-    for la, w, ci in zip(coeffs.lam_grid, coeffs.lam_weights, coeffs.c):
-        u = continuous_eigenfunction(spec, la).u
-        acc += w * ci * np.real(eval_radial(u, r_grid))
+    wc = coeffs.lam_weights * coeffs.c
+    for rows, cols, u in _basis_blocks(spec, coeffs.lam_grid, r_grid):
+        acc[cols] += wc[rows] @ u
     if coeffs.c_discrete is not None:
         b = bound_state(spec)
         acc += coeffs.c_discrete * np.real(eval_radial(b.v, r_grid))
@@ -176,8 +220,10 @@ def apply_function(
     """
     if r_max is None:
         r_max = _default_r_max(f)
+    _check_cutoffs(r_max, lam_max)
     if r_grid is None:
         r_grid = np.linspace(1e-3, r_max, 400)
+    r_grid = _checked_grid(r_grid)
     coeffs = forward(spec, f, r_max=r_max, lam_max=lam_max)
     mapped = np.asarray([phi(la**6) for la in coeffs.lam_grid], complex)
     if not np.all(np.isfinite(mapped)):
@@ -203,21 +249,21 @@ def apply_function(
     out = inverse(spec, scaled, r_grid)
     if cd is not None:
         b = bound_state(spec)
-        vals = out.values + np.real(cd * eval_radial(b.v, np.asarray(r_grid)))
+        vals = out.values + np.real(cd * eval_radial(b.v, r_grid))
         out = SampledFunction(out.grid, vals)
     return out
 
 
 def parseval_check(spec: ExtensionSpec, f, r_max: float = None) -> float:
     """Relative defect | ||f||^2 - (int c^2 + c_d^2) | / ||f||^2."""
-    fc = _as_callable(f)
     if r_max is None:
         r_max = _default_r_max(f)
-    rn, rw = radial_rule(r_max)
-    norm2 = float(np.sum(rw * np.abs(np.asarray(fc(rn))) ** 2))
+    _check_cutoffs(r_max, DEFAULT_LAMBDA_MAX)
+    rn, rw, fw = _radial_samples(f, r_max)
+    norm2 = float(np.sum(np.abs(fw) ** 2 / rw))
     if norm2 == 0.0:
         return 0.0
-    coeffs = forward(spec, f, r_max=r_max)
+    coeffs = _project(spec, rn, fw, r_max, DEFAULT_LAMBDA_MAX)
     total = float(np.sum(coeffs.lam_weights * coeffs.c**2))
     if coeffs.c_discrete is not None:
         total += coeffs.c_discrete**2

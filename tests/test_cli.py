@@ -74,6 +74,37 @@ def test_nonpositive_n_points_exit_code(capsys, argv):
     assert "--n-points" in err and out == ""
 
 
+@pytest.mark.parametrize("value", ("nan", "inf"))
+def test_nonfinite_lambda_exit_code(capsys, value):
+    code, out, err = run(
+        capsys, "eigfun", "--l", "1", "--xi", "1", "--kappa", "0.5", "--lambda", value
+    )
+    assert code == 2
+    assert "lambda must be finite" in err and out == ""
+
+
+@pytest.mark.parametrize("flag", ("--r-min", "--r-max"))
+def test_nonfinite_r_bound_exit_code(capsys, flag):
+    code, out, err = run(
+        capsys, "eigfun", "--l", "1", "--xi", "1", "--kappa", "0.5", "--lambda", "1", flag, "nan"
+    )
+    assert code == 2
+    assert "must be finite" in err and out == ""
+
+
+@pytest.mark.parametrize("column", (0, 1))
+def test_transform_nonfinite_input_exit_code(capsys, tmp_path, column):
+    rows = [[0.5, 1.0], [1.0, 2.0], [1.5, 1.0]]
+    rows[1][column] = float("nan")
+    path = tmp_path / "f.csv"
+    path.write_text("r,f\n" + "\n".join(f"{a},{b}" for a, b in rows) + "\n")
+    code, out, err = run(
+        capsys, "transform", "--l", "1", "--xi", "1", "--kappa", "0.0", "--input", str(path)
+    )
+    assert code == 2
+    assert "must be finite" in err and out == ""
+
+
 def test_pole_exit_code(capsys):
     zp = (2.0 / 3.0) * np.exp(1j * np.pi / 6)
     code, _, err = run(

@@ -124,6 +124,18 @@ def test_origin_series_modulo_gap():
                 assert abs(s.coefficients[j]) < 1e-12 * scale
 
 
+def test_origin_series_eval_keeps_shape_at_every_order():
+    f = RadialFunction(ExponentialSum([1.0, -1.0], [1.1, -0.4]), 2)
+    r = np.array([[0.1, 0.2, 0.3], [0.05, 0.15, 0.25]])
+    for order in (0, 1, 16):
+        s = origin_series(f, order)
+        want = sum(s.coefficients[m] * r**m for m in range(order + 1))
+        got = s.eval(r)
+        assert got.shape == r.shape
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    assert s.eval(0.2) == complex(s.eval(np.array([0.2]))[0])
+
+
 def test_origin_series_rejects_nonregular():
     f = RadialFunction(ExponentialSum([1.0], [1.0]), 1)
     with pytest.raises(SingularityError):

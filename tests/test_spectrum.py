@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from radialspec import (
     DomainError,
+    InternalInconsistency,
     bound_state,
     check_membership,
     continuous_eigenfunction,
@@ -11,14 +14,19 @@ from radialspec import (
     make_extension_spec,
     spectral_density,
 )
+from radialspec.core import ExtensionSpec
 from radialspec.quadrature import quad_semiaxis
+from radialspec.rayleigh import r_switch
 from radialspec.spectrum import (
+    _basis_blocks,
+    _eigenfunction_terms,
     asymptotic_density,
     eigen_residual_continuous,
     eigen_residual_discrete,
     realness_residual,
     resolvent_difference_density,
 )
+from radialspec.transform import radial_rule, spectral_rule
 
 ALL_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -77,10 +85,56 @@ def test_continuous_real_eigen_membership(l, xi, kappa, lam):
 
 def test_continuous_rejects_nonpositive_lambda():
     spec = make_extension_spec(1, 1, 0.0)
-    with pytest.raises(DomainError):
-        continuous_eigenfunction(spec, 0.0)
-    with pytest.raises(DomainError):
-        continuous_eigenfunction(spec, -1.0)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            continuous_eigenfunction(spec, lam)
+
+
+BASIS_CASES = [
+    (l, xi, kappa)
+    for l, xi in ALL_PAIRS
+    for kappa in (0.8, 0.0, -1.3) + (("inf",) if l == 2 else ())
+]
+
+
+@pytest.mark.parametrize("r_max", (10.5, 70.6))
+@pytest.mark.parametrize("l,xi,kappa", BASIS_CASES)
+def test_basis_blocks_match_eigenfunctions(l, xi, kappa, r_max):
+    # the blocked basis equals the per-lambda eigenfunctions on the transform's grids
+    spec = make_extension_spec(l, xi, kappa)
+    lam = spectral_rule(r_max)[0][::9]
+    r = radial_rule(r_max)[0]
+    got = np.full((lam.size, r.size), np.nan)
+    for rows, cols, u in _basis_blocks(spec, lam, r):
+        got[rows, cols] = u
+    eigs = [continuous_eigenfunction(spec, la) for la in lam]
+    ref = np.array([np.real(eval_radial(e.u, r)) for e in eigs])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # rows whose grid straddles r_switch (series below it, closed form above)
+    switch = np.array([r_switch(e.u) for e in eigs])
+    assert np.any((r[0] <= switch) & (switch < r[-1]))
+    if kappa == -1.3:
+        # rows of both canonical signs: flipped against the raw closed form, and not
+        flipped = [e.u.scale == -complex(_eigenfunction_terms(spec, e.lam)[0]) for e in eigs]
+        assert 0 < sum(flipped) < len(flipped)
+
+
+def test_basis_blocks_reject_bad_lambda():
+    spec = make_extension_spec(1, 1, 0.5)
+    r = np.linspace(0.1, 2.0, 5)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            list(_basis_blocks(spec, np.array([0.5, bad]), r))
+
+
+def test_eigenfunction_terms_vanishing_p_checked_per_row():
+    # a complex kappa whose p(lambda) = lambda^5 + 2 e^{5 i pi/6} kappa^5 vanishes at
+    # lambda = 1; real kappa never does, so the check is an internal guard
+    num = (-1.0 / (2.0 * np.exp(5j * np.pi / 6))) ** 0.2
+    spec = ExtensionSpec(2, 2, SimpleNamespace(num=num, den=1.0))
+    _eigenfunction_terms(spec, np.array([0.5, 2.0]))
+    with pytest.raises(InternalInconsistency):
+        _eigenfunction_terms(spec, np.array([0.5, 1.0, 2.0]))
 
 
 def test_continuous_kappa_zero_matches_free_form():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from radialspec import (
     apply_function,
     apply_resolvent,
     bound_state,
+    continuous_eigenfunction,
     domain_test_function,
     eval_radial,
     forward,
@@ -16,7 +19,15 @@ from radialspec import (
     make_extension_spec,
     parseval_check,
 )
-from radialspec.transform import SampledFunction, SpectralCoefficients, fd_apply
+from radialspec import spectrum, transform
+from radialspec.transform import (
+    DEFAULT_LAMBDA_MAX,
+    SampledFunction,
+    SpectralCoefficients,
+    fd_apply,
+    radial_rule,
+    spectral_rule,
+)
 
 R_GRID = np.linspace(0.05, 20.0, 300)
 
@@ -31,6 +42,78 @@ def test_sampled_function_validation():
     f = SampledFunction(np.array([0.5, 1.0, 1.5]), np.array([1.0, 2.0, 1.0]))
     assert f(1.0) == 2.0
     assert f(3.0) == 0.0  # compact support past the grid
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_sampled_function_rejects_nonfinite(bad):
+    with pytest.raises(InvalidInput, match="finite"):
+        SampledFunction(np.array([0.5, bad, 1.5]), np.array([1.0, 2.0, 1.0]))
+    with pytest.raises(InvalidInput, match="finite"):
+        SampledFunction(np.array([0.5, 1.0, 1.5]), np.array([1.0, bad, 1.0]))
+    with pytest.raises(InvalidInput, match="finite"):
+        SampledFunction(np.array([0.5, 1.0, 1.5]), np.array([1.0, complex(bad, 0.0), 1.0]))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    (
+        np.array([0.1, np.nan, 2.0]),
+        np.array([0.1, 1.0, np.inf]),
+        np.array([0.0, 1.0, 2.0]),
+        np.array([-1.0, 1.0, 2.0]),
+        np.array([0.1, 2.0, 1.0]),
+        np.array([0.1, 1.0, 1.0]),
+        np.array([1.0]),
+        np.ones((2, 2)),
+    ),
+)
+def test_inverse_rejects_bad_grid_before_evaluating(monkeypatch, grid):
+    def no_basis(*args):
+        raise AssertionError("basis evaluated before the grid was checked")
+
+    monkeypatch.setattr(transform, "_basis_blocks", no_basis)
+    spec = make_extension_spec(1, 1, -1.0)
+    coeffs = SpectralCoefficients(np.array([0.5, 1.0]), np.ones(2), np.ones(2), 1.0)
+    with pytest.raises(InvalidInput):
+        inverse(spec, coeffs, grid)
+
+
+CUTOFF_CASES = (
+    {"r_max": np.nan},
+    {"r_max": np.inf},
+    {"r_max": 0.0},
+    {"r_max": -5.0},
+    {"lam_max": -1.0},
+    {"lam_max": 0.0},
+    {"lam_max": transform.DEFAULT_LAMBDA_MIN},
+    {"lam_max": 3.0 * transform.DEFAULT_LAMBDA_MIN},
+    {"lam_max": np.nan},
+    {"lam_max": np.inf},
+)
+
+
+def test_smallest_accepted_lam_max():
+    spec = make_extension_spec(1, 1, 0.7)
+    coeffs = forward(spec, domain_test_function(spec), r_max=10.0, lam_max=0.0041)
+    assert coeffs.lam_grid[0] > transform.DEFAULT_LAMBDA_MIN
+    assert coeffs.lam_grid[-1] < 0.0041 and np.all(np.diff(coeffs.lam_grid) > 0)
+
+
+@pytest.mark.parametrize("kwargs", CUTOFF_CASES)
+def test_bad_cutoffs_rejected(kwargs):
+    spec = make_extension_spec(1, 1, 0.7)
+    f = domain_test_function(spec)
+    calls = [
+        lambda: forward(spec, f, **kwargs),
+        lambda: apply_function(spec, lambda x: x, f, **kwargs),
+    ]
+    if "lam_max" not in kwargs:
+        calls.append(lambda: parseval_check(spec, f, **kwargs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidInput, match="r_max|lam_max"):
+                call()
 
 
 def test_forward_of_bound_state_concentrates_on_discrete_term():
@@ -194,3 +277,116 @@ def test_domain_test_function_null_space_matches_scipy():
                     ref = scipy.linalg.null_space(a)
                     f = domain_test_function(spec, index, base_rate)
                     assert np.array_equal(f.base.amplitudes, ref[:, index % ref.shape[1]])
+
+
+# ------------------------------------------------ the per-lambda loop as oracle
+# The transform as it was written before the basis was evaluated in blocks: one
+# eigenfunction object and one eval_radial call per lambda node.
+
+
+def _loop_forward(spec, f, r_max, lam_max=DEFAULT_LAMBDA_MAX):
+    rn, rw = radial_rule(r_max)
+    fv = np.real(eval_radial(f, rn)) * rw
+    lam, lw = spectral_rule(r_max, lam_max)
+    c = np.empty(lam.shape)
+    for i, la in enumerate(lam):
+        u = continuous_eigenfunction(spec, la).u
+        c[i] = float(np.real(np.sum(eval_radial(u, rn) * fv)))
+    b = bound_state(spec)
+    cd = None if b is None else float(np.real(np.sum(eval_radial(b.v, rn) * fv)))
+    return SpectralCoefficients(lam, lw, c, cd)
+
+
+def _loop_inverse(spec, coeffs, r_grid):
+    acc = np.zeros(r_grid.shape)
+    for la, w, ci in zip(coeffs.lam_grid, coeffs.lam_weights, coeffs.c):
+        acc += w * ci * np.real(eval_radial(continuous_eigenfunction(spec, la).u, r_grid))
+    if coeffs.c_discrete is not None:
+        acc += coeffs.c_discrete * np.real(eval_radial(bound_state(spec).v, r_grid))
+    return acc
+
+
+def _loop_parseval(spec, f, r_max):
+    rn, rw = radial_rule(r_max)
+    norm2 = float(np.sum(rw * np.real(eval_radial(f, rn)) ** 2))
+    coeffs = _loop_forward(spec, f, r_max)
+    total = float(np.sum(coeffs.lam_weights * coeffs.c**2))
+    if coeffs.c_discrete is not None:
+        total += coeffs.c_discrete**2
+    return abs(norm2 - total) / norm2
+
+
+def _loop_apply(spec, phi, f, r_grid, r_max, lam_max):
+    coeffs = _loop_forward(spec, f, r_max, lam_max)
+    mapped = np.real(np.array([phi(la**6) for la in coeffs.lam_grid]) * coeffs.c)
+    out = _loop_inverse(
+        spec, SpectralCoefficients(coeffs.lam_grid, coeffs.lam_weights, mapped), r_grid
+    )
+    if coeffs.c_discrete is not None:
+        b = bound_state(spec)
+        out = out + np.real(coeffs.c_discrete * phi(b.energy) * eval_radial(b.v, r_grid))
+    return out
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
+
+
+ORACLE_CASES = ((1, 1, 0.7), (1, 2, -0.8), (2, 1, "inf"), (2, 2, 0.0), (2, 2, -1.1))
+
+
+@pytest.mark.parametrize("l,xi,kappa", ORACLE_CASES)
+def test_blocked_transform_matches_loop(l, xi, kappa):
+    spec = make_extension_spec(l, xi, kappa)
+    f = domain_test_function(spec, 2, 1.5)
+    r_max = 20.9
+    coeffs = forward(spec, f, r_max=r_max)
+    ref = _loop_forward(spec, f, r_max)
+    assert np.array_equal(coeffs.lam_grid, ref.lam_grid)
+    assert _rel(coeffs.c, ref.c) <= 1e-12
+    assert (coeffs.c_discrete is None) == (ref.c_discrete is None)
+    if ref.c_discrete is not None:
+        assert abs(coeffs.c_discrete - ref.c_discrete) <= 1e-12 * abs(ref.c_discrete)
+    rec = inverse(spec, coeffs, R_GRID)
+    assert _rel(rec.values, _loop_inverse(spec, coeffs, R_GRID)) <= 1e-12
+    # both defects are relative to ||f||^2, so this bounds the change in
+    # int c^2 + c_d^2 relative to ||f||^2
+    assert abs(parseval_check(spec, f, r_max=r_max) - _loop_parseval(spec, f, r_max)) <= 1e-12
+
+
+def test_blocked_transform_matches_loop_across_r_tiles():
+    # more radial points than one tile holds: forward sums c(lambda) over the
+    # r tiles, inverse fills the grid tile by tile
+    spec = make_extension_spec(2, 2, -1.1)
+    f = domain_test_function(spec, 0, 0.6)
+    grid = np.linspace(0.05, 40.0, 1500)
+    tile = spectrum._BLOCK_BYTES // 32 // spectrum._MIN_ROWS
+    assert radial_rule(45.0)[0].size > tile and grid.size > tile
+    coeffs = forward(spec, f, r_max=45.0, lam_max=1.0)
+    assert _rel(coeffs.c, _loop_forward(spec, f, 45.0, 1.0).c) <= 1e-12
+    assert _rel(inverse(spec, coeffs, grid).values, _loop_inverse(spec, coeffs, grid)) <= 1e-12
+
+
+@pytest.mark.parametrize("l,xi,kappa", ((2, 1, 0.4), (1, 1, -1.0)))
+def test_blocked_apply_function_matches_loop(l, xi, kappa):
+    spec = make_extension_spec(l, xi, kappa)
+    f = domain_test_function(spec, 4, 3.0)
+    grid = np.linspace(0.05, 8.0, 60)
+    phi = lambda x: 1.0 / (2.0 + x)
+    out = apply_function(spec, phi, f, r_grid=grid, r_max=12.0, lam_max=10.0)
+    assert _rel(out.values, _loop_apply(spec, phi, f, grid, 12.0, 10.0)) <= 1e-12
+
+
+def test_transform_builds_no_per_lambda_eigenfunctions(monkeypatch):
+    # forward and inverse evaluate the basis in blocks; building one
+    # eigenfunction object per lambda node is the loop they replace
+    def per_lambda(*args):
+        raise AssertionError("continuous_eigenfunction called per lambda node")
+
+    monkeypatch.setattr(spectrum, "continuous_eigenfunction", per_lambda)
+    monkeypatch.setattr(transform, "continuous_eigenfunction", per_lambda, raising=False)
+    spec = make_extension_spec(1, 2, -0.8)
+    f = domain_test_function(spec, 0, 3.0)
+    coeffs = forward(spec, f, r_max=10.0, lam_max=2.0)
+    rec = inverse(spec, coeffs, np.linspace(0.1, 5.0, 20))
+    assert np.all(np.isfinite(coeffs.c)) and np.all(np.isfinite(rec.values))
