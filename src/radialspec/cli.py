@@ -29,11 +29,11 @@ from .resolvent import kernel, set_coefficient_injection, validate_sector
 from .spectrum import bound_state, continuous_eigenfunction
 from .transform import (
     SampledFunction,
+    _forward_with_defect,
     apply_function,
     domain_test_function,
     forward,
     inverse,
-    parseval_check,
 )
 from .verify import SUITES, run_suites
 
@@ -127,16 +127,13 @@ def cmd_resolvent(args) -> int:
     if args.split:
         for part in ("R0", "R1", "R2", "Rg"):
             header.extend((f"re_{part}", f"im_{part}"))
-    rows = []
-    for ri in r:
-        for si in r:
-            kv = kernel(spec, z, float(ri), float(si))
-            row = [ri, si, kv.total.real, kv.total.imag]
-            if args.split:
-                for part in (kv.R0, kv.R1, kv.R2, kv.Rg):
-                    row.extend((part.real, part.imag))
-            rows.append(row)
-    write_rows(args.output, args.format, header, rows)
+    rr, ss = np.meshgrid(r, r, indexing="ij")
+    kv = kernel(spec, z, rr, ss)
+    parts = (kv.total, kv.R0, kv.R1, kv.R2, kv.Rg) if args.split else (kv.total,)
+    cols = [rr, ss]
+    for part in parts:
+        cols.extend((part.real, part.imag))
+    write_rows(args.output, args.format, header, zip(*(c.ravel() for c in cols)))
     return EXIT_OK
 
 
@@ -189,7 +186,7 @@ def cmd_transform(args) -> int:
         if coeffs.c_discrete is not None:
             print(f"c_discrete = {_fmt(coeffs.c_discrete)}")
     elif args.mode == "roundtrip":
-        coeffs = forward(spec, f)
+        coeffs, defect = _forward_with_defect(spec, f)
         if isinstance(f, SampledFunction):
             grid = f.grid
             ref = np.real(f.values)
@@ -205,7 +202,6 @@ def cmd_transform(args) -> int:
             zip(grid, ref, rec.values),
         )
         print(f"roundtrip relative l2 error = {err:.3e}")
-        defect = parseval_check(spec, f)
         print(f"parseval defect = {defect:.3e}")
     else:
         phi_name = args.phi

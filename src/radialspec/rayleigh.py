@@ -55,7 +55,10 @@ def exponential_poly(l: int, chi) -> np.ndarray:
     else:
         raise InvalidSpec(f"l={l} not supported")
     if isinstance(chi, np.ndarray) and chi.ndim:
-        return np.stack(np.broadcast_arrays(*cols), axis=-1).astype(np.complex128)
+        out = np.empty(chi.shape + (len(cols),), np.complex128)
+        for j, c in enumerate(cols):
+            out[..., j] = c
+        return out
     return np.array(cols, np.complex128)
 
 
@@ -170,9 +173,13 @@ def _differentiate_polys(rates, polys):
     return out
 
 
-def _eval_split(f: RadialFunction, r: np.ndarray, order: int):
+def _eval_split(f: RadialFunction, r: np.ndarray, order: int, shift: complex = 0.0):
     """Derivative of the given order at validated float64 r: the closed form
-    above r_switch(f), the origin series at or below it (regular bases only)."""
+    above r_switch(f), the origin series at or below it (regular bases only).
+
+    A nonzero shift returns the derivative times e^{shift r}: the closed form
+    runs on the rates + shift, so a growing term scaled by a decaying shift
+    stays bounded, and the series is multiplied by e^{shift r}."""
     rr = r.ravel()
     rs = r_switch(f)
     out = np.empty(rr.shape, np.complex128)
@@ -182,7 +189,7 @@ def _eval_split(f: RadialFunction, r: np.ndarray, order: int):
         rates, polys = term_data(f)
         for _ in range(order):
             polys = _differentiate_polys(rates, polys)
-        out[far] = _eval_terms(rr[far], rates, polys)
+        out[far] = _eval_terms(rr[far], rates + shift if shift else rates, polys)
     if np.any(near):
         n = min(MAX_SERIES_ORDER, SERIES_ORDER + order)
         c = origin_series(f, n).coefficients
@@ -192,6 +199,8 @@ def _eval_split(f: RadialFunction, r: np.ndarray, order: int):
                 np.complex128,
             )
         out[near] = _eval_series(rr[near], c)
+        if shift:
+            out[near] *= np.exp(shift * rr[near])
     return _shaped_like(r, out)
 
 

@@ -10,6 +10,23 @@ The coefficient tables are shipped in closed form (CLOSED_TABLE) and checked
 against an independent linear-system oracle; where the two disagreed the
 oracle won, and the superseded printed entries are kept in
 PRINTED_TABLE_ERRATA for the record.
+
+The kernel is separable, R(r, s; z) = sum_k c_k g_k(r_>) h_k(r_<), so
+apply_resolvent needs no quadrature per output point.  On one composite Gauss
+grid over (0, r_max) whose panel edges include every output point, f is
+sampled once, each segment between consecutive outputs is summed once, and a
+forward recurrence gives the inner integrals of h_k f while a backward one
+gives the tails of g_k f (Greengard & Rokhlin, "On the numerical solution of
+two-point boundary value problems", CPAM 44, 1991).  The cost is
+O(n_quad + n_out) with n_quad ~ 24 points_per_unit r_max nodes, against
+O(n_out n_quad) for a quadrature per point.
+
+Everything is carried in scaled form.  With chi_k the rate of g_k
+(Re chi_k < 0), g_k e^{-chi_k r} and h_k e^{chi_k r} are bounded, the
+recurrences step by e^{chi_k dr} with |e^{chi_k dr}| <= 1, and kernel forms
+d_k(r_<) g_k(r_>) as P_d(r_<) P_g(r_>) e^{chi_k (r_> - r_<)} from the
+polynomial factors P of D_l e^{+-chi r}.  No growing exponential is ever
+formed, so nothing overflows at large r.
 """
 
 from __future__ import annotations
@@ -28,7 +45,7 @@ from .errors import (
     SectorError,
 )
 from .quadrature import panel_rule
-from .rayleigh import derivative, dl_exponential, eval_radial
+from .rayleigh import _eval_split, derivative, eval_radial, exponential_poly
 
 
 # Power of z and kappa in the coefficient numerators and denominator p.
@@ -229,7 +246,10 @@ def h_solution(
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Resolvent kernel value with its growing/decaying split."""
+    """Resolvent kernel value with its growing/decaying split.
+
+    Complex numbers for scalar (r, s), arrays of their broadcast shape otherwise.
+    """
 
     total: complex
     R0: complex
@@ -238,26 +258,66 @@ class KernelValue:
     Rg: complex
 
 
+def _kernel_weights(l: int, z: complex) -> np.ndarray:
+    """c_k = e^{2 pi i k/3} / (3 z^4 W_k), the weight of g_k(r_>) h_k(r_<) in R."""
+    return np.array(
+        [_phase(2 * k / 3) / (3.0 * z**4 * wronskian(l, z, k)) for k in range(3)]
+    )
+
+
 def kernel(
-    spec: ExtensionSpec, z: complex, r: float, s: float, allow_boundary: bool = False
+    spec: ExtensionSpec, z: complex, r, s, allow_boundary: bool = False
 ) -> KernelValue:
-    """R(r, s; z), symmetric in (r, s); parts R0..R2 carry the growing d_k terms."""
-    if r <= 0 or s <= 0:
-        raise DomainError("kernel requires r, s > 0")
+    """R(r, s; z), symmetric in (r, s) and broadcast over them; parts R0..R2
+    carry the growing d_k terms, evaluated in scaled form as
+    P_d(r_<) P_g(r_>) e^{chi_k (r_> - r_<)} so that nothing overflows."""
+    r = np.asarray(r, np.float64)
+    s = np.asarray(s, np.float64)
+    if not (np.all(np.isfinite(r) & (r > 0)) and np.all(np.isfinite(s) & (s > 0))):
+        raise DomainError("kernel requires finite r, s > 0")
     validate_sector(z, allow_boundary)
     c = coefficients_closed_form(spec, z, allow_boundary)
-    lo, hi = (r, s) if r <= s else (s, r)
-    parts = []
-    rg = 0.0 + 0.0j
-    for k in range(3):
-        ck = _phase(2 * k / 3) / (3.0 * z**4 * wronskian(spec.l, z, k))
-        g_lo = [dl_exponential(spec.l, g_rate(z, (k + m) % 3), lo) for m in range(3)]
-        g_hi = dl_exponential(spec.l, g_rate(z, k), hi)
-        d_lo = dl_exponential(spec.l, -g_rate(z, k), lo)
-        parts.append(ck * d_lo * g_hi)
-        rg += ck * (c.alpha[k] * g_lo[0] + c.beta[k] * g_lo[1] + c.gamma[k] * g_lo[2]) * g_hi
+    lo, hi = np.minimum(r, s), np.maximum(r, s)
+    col = (3,) + (1,) * lo.ndim
+    chi = np.array([g_rate(z, k) for k in range(3)])
+    # polynomial factors of D_l e^{chi_m x} (rows 0..2) and D_l e^{-chi_m x}
+    # (rows 3..5) at x = r_< (column 0) and x = r_> (column 1)
+    p = exponential_poly(spec.l, np.concatenate((chi, -chi)))
+    p = p.reshape(p.shape + (1,) * (lo.ndim + 1))
+    inv = 1.0 / np.array((lo, hi))
+    q = p[:, -1]
+    for j in range(spec.l - 1, -1, -1):
+        q = q * inv + p[:, j]
+    chi = chi.reshape(col)
+    ck = _kernel_weights(spec.l, z).reshape(col)
+    # R_k and the k-th term of Rg share the bounded factor
+    # c_k P_g(r_>) e^{chi_k (r_> - r_<)}; Rg's g_k(r_>) is that factor times
+    # e^{chi_k r_<}, so six exponentials serve every part
+    e_lo = np.exp(chi * lo)
+    g_lo = q[:3, 0] * e_lo
+    shared = ck * q[:3, 1] * np.exp(chi * (hi - lo))
+    parts = shared * q[3:, 0]
+    mix = (
+        c.alpha.reshape(col) * g_lo
+        + c.beta.reshape(col) * g_lo[[1, 2, 0]]
+        + c.gamma.reshape(col) * g_lo[[2, 0, 1]]
+    )
+    rg = shared * (mix * e_lo)
+    rg = rg[0] + rg[1] + rg[2]
     total = parts[0] + parts[1] + parts[2] + rg
-    return KernelValue(total, parts[0], parts[1], parts[2], rg)
+    fields = (total, parts[0], parts[1], parts[2], rg)
+    if lo.ndim == 0:
+        fields = tuple(complex(v) for v in fields)
+    return KernelValue(*fields)
+
+
+def _sweep(steps, sums) -> np.ndarray:
+    """acc_i = steps_i acc_{i-1} + sums_i from acc_{-1} = 0."""
+    out, acc = [], 0j
+    for t, v in zip(steps, sums):
+        acc = t * acc + v
+        out.append(acc)
+    return np.array(out, np.complex128)
 
 
 def apply_resolvent(
@@ -269,35 +329,64 @@ def apply_resolvent(
     points_per_unit: int = 8,
     allow_boundary: bool = False,
 ):
-    """u(r) = integral of R(r, s; z) f(s) ds for a callable f, vectorized in r.
+    """u(r) = integral over (0, r_max) of R(r, s; z) f(s) ds for a callable f,
+    vectorized in r; r_max defaults to 40 decay lengths of the slowest g_k.
 
-    The kernel's min/max structure is used directly: for each k the integral
-    splits at s = r into an h_k-weighted inner part and a g_k-weighted tail.
+    One composite Gauss grid covers (0, r_max) with panels no wider than
+    1/points_per_unit whose edges include every output point, and f is
+    sampled once on it.  With chi_k the rate of g_k and q_0 < ... < q_{m-1}
+    the distinct outputs, u(q_i) = sum_k c_k [G_k(q_i) A_i + H_k(q_i) B_i],
+    where G_k = g_k e^{-chi_k r} and H_k = h_k e^{chi_k r} are bounded, and
+    A_i = int_0^{q_i} e^{chi_k (q_i - s)} H_k f ds,
+    B_i = int_{q_i}^{r_max} e^{chi_k (s - q_i)} G_k f ds
+    follow from one sum per segment between outputs by the recurrences
+    A_i = e^{chi_k (q_i - q_{i-1})} A_{i-1} + S_i and its mirror image.
     """
     validate_sector(z, allow_boundary)
     scalar = np.isscalar(r)
     rr = np.atleast_1d(np.asarray(r, np.float64))
-    if np.any(rr <= 0):
-        raise DomainError("apply_resolvent requires r > 0")
+    if not np.all(np.isfinite(rr) & (rr > 0)):
+        raise DomainError("apply_resolvent requires finite r > 0")
+    if not (np.isfinite(points_per_unit) and points_per_unit > 0):
+        raise InvalidInput("points_per_unit must be finite and positive")
     if r_max is None:
-        decay = min(-np.real(1j * _phase(k / 3) * z) for k in range(3))
-        r_max = 40.0 / decay
-    out = np.zeros(rr.shape, np.complex128)
-    for k in range(3):
-        ck = _phase(2 * k / 3) / (3.0 * z**4 * wronskian(spec.l, z, k))
+        r_max = 40.0 / min(-np.real(g_rate(z, k)) for k in range(3))
+    q, where = np.unique(rr.ravel(), return_inverse=True)
+    if q.size == 0:
+        return np.zeros(rr.shape, np.complex128)
+    if not (np.isfinite(r_max) and r_max > q[-1]):
+        raise DomainError("apply_resolvent requires a finite r_max > max(r)")
+    m = q.size
+    edges = np.concatenate(([0.0], q, [r_max]))
+    rules = [
+        panel_rule(a, b, max(1, int(np.ceil((b - a) * points_per_unit))))
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    x = np.concatenate([nodes for nodes, _ in rules])
+    fw = np.concatenate([w for _, w in rules]) * f(x)
+    counts = np.array([nodes.size for nodes, _ in rules])
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    # segments 0..m-1 end at an output (inner integrals), 1..m start at one (tails)
+    x_in, fw_in, right = x[: starts[m]], fw[: starts[m]], np.repeat(q, counts[:m])
+    x_out, fw_out, left = x[starts[1] :], fw[starts[1] :], np.repeat(q, counts[1:])
+    u = np.zeros(m, np.complex128)
+    for k, ck in enumerate(_kernel_weights(spec.l, z)):
+        chi = g_rate(z, k)
         gk = basis_g(spec.l, z, k, allow_boundary)
         hk = h_solution(spec, z, k, allow_boundary)
-        for i, ri in enumerate(rr):
-            n_in = max(8, int(np.ceil(ri * points_per_unit)))
-            x1, w1 = panel_rule(0.0, ri, n_in)
-            inner = np.sum(w1 * eval_radial(hk, x1) * f(x1))
-            n_out = max(8, int(np.ceil((r_max - ri) * points_per_unit)))
-            x2, w2 = panel_rule(ri, r_max, n_out)
-            tail = np.sum(w2 * eval_radial(gk, x2) * f(x2))
-            out[i] += ck * (
-                eval_radial(gk, np.array([ri]))[0] * inner
-                + eval_radial(hk, np.array([ri]))[0] * tail
-            )
+        s_in = np.add.reduceat(
+            _eval_split(hk, x_in, 0, chi) * np.exp(chi * (right - x_in)) * fw_in,
+            starts[:m],
+        )
+        s_out = np.add.reduceat(
+            _eval_split(gk, x_out, 0, -chi) * np.exp(chi * (x_out - left)) * fw_out,
+            starts[1:] - starts[1],
+        )
+        steps = np.concatenate(([1.0], np.exp(chi * np.diff(q)))).tolist()
+        a = _sweep(steps, s_in.tolist())
+        b = _sweep(steps[:1] + steps[:0:-1], s_out.tolist()[::-1])[::-1]
+        u += ck * (_eval_split(gk, q, 0, -chi) * a + _eval_split(hk, q, 0, chi) * b)
+    out = u[where].reshape(rr.shape)
     return out[0] if scalar else out
 
 

@@ -254,20 +254,26 @@ def apply_function(
     return out
 
 
-def parseval_check(spec: ExtensionSpec, f, r_max: float = None) -> float:
-    """Relative defect | ||f||^2 - (int c^2 + c_d^2) | / ||f||^2."""
+def _forward_with_defect(spec: ExtensionSpec, f, r_max: float = None):
+    """forward(spec, f, r_max) at the default lam_max and the Parseval defect
+    of f against those coefficients, from one projection."""
     if r_max is None:
         r_max = _default_r_max(f)
     _check_cutoffs(r_max, DEFAULT_LAMBDA_MAX)
     rn, rw, fw = _radial_samples(f, r_max)
+    coeffs = _project(spec, rn, fw, r_max, DEFAULT_LAMBDA_MAX)
     norm2 = float(np.sum(np.abs(fw) ** 2 / rw))
     if norm2 == 0.0:
-        return 0.0
-    coeffs = _project(spec, rn, fw, r_max, DEFAULT_LAMBDA_MAX)
+        return coeffs, 0.0
     total = float(np.sum(coeffs.lam_weights * coeffs.c**2))
     if coeffs.c_discrete is not None:
         total += coeffs.c_discrete**2
-    return abs(norm2 - total) / norm2
+    return coeffs, abs(norm2 - total) / norm2
+
+
+def parseval_check(spec: ExtensionSpec, f, r_max: float = None) -> float:
+    """Relative defect | ||f||^2 - (int c^2 + c_d^2) | / ||f||^2."""
+    return _forward_with_defect(spec, f, r_max)[1]
 
 
 @lru_cache(maxsize=None)

@@ -196,8 +196,7 @@ def suite_wronskian(seed: int = 0):
 
 def _kernel_window(spec, z, s, r0, h=0.15):
     grid = r0 + h * np.arange(-6.0, 7.0)
-    vals = np.array([kernel(spec, z, float(r), s).total for r in grid])
-    return grid, vals
+    return grid, kernel(spec, z, grid, s).total
 
 
 def suite_kernel(seed: int = 0):

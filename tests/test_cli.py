@@ -137,6 +137,35 @@ def test_resolvent_split_columns(capsys):
     assert "re_Rg" in header and "im_R2" in header
 
 
+def test_resolvent_rows_match_scalar_kernel(capsys, monkeypatch):
+    from radialspec import cli, kernel, make_extension_spec
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "kernel", counted)
+    code, out, _ = run(
+        capsys,
+        "resolvent", "--l", "2", "--xi", "1", "--kappa", "0.3",
+        "--z-re", "0.9", "--z-im", "0.4", "--n-points", "5", "--split",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    spec = make_extension_spec(2, 1, 0.3)
+    grid = np.linspace(0.1, 5.0, 5)
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 25
+    for row, (r, s) in zip(rows, ((r, s) for r in grid for s in grid)):
+        kv = kernel(spec, complex(0.9, 0.4), float(r), float(s))
+        want = [r, s]
+        for part in (kv.total, kv.R0, kv.R1, kv.R2, kv.Rg):
+            want.extend((part.real, part.imag))
+        assert [float(v) for v in row] == want
+
+
 def test_verify_only_wronskian(capsys):
     code, out, _ = run(capsys, "verify", "--only", "wronskian")
     assert code == 0
@@ -187,6 +216,33 @@ def test_transform_roundtrip_builtin(capsys):
     assert float(err_line.split("=")[1]) < 1e-3
     defect_line = [l for l in out.split("\n") if "parseval" in l][0]
     assert float(defect_line.split("=")[1]) < 1e-3
+
+
+def test_transform_roundtrip_projects_once(capsys, monkeypatch):
+    from radialspec import domain_test_function, make_extension_spec, parseval_check, transform
+
+    calls = []
+    project = transform._project
+
+    def counted(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(transform, "_project", counted)
+    code, out, _ = run(
+        capsys,
+        "transform", "--l", "2", "--xi", "2", "--kappa", "-1.0",
+        "--mode", "roundtrip", "--output", "/dev/null",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    spec = make_extension_spec(2, 2, -1.0)
+    f = domain_test_function(spec, 0)
+    coeffs, defect = transform._forward_with_defect(spec, f)
+    assert defect == parseval_check(spec, f)
+    assert f"parseval defect = {defect:.3e}" in out
+    ref = transform.forward(spec, f)
+    assert np.array_equal(coeffs.c, ref.c) and coeffs.c_discrete == ref.c_discrete
 
 
 def test_transform_csv_input_roundtrip(tmp_path, capsys):

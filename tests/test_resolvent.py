@@ -10,6 +10,7 @@ from radialspec import (
     check_membership,
     coefficients_closed_form,
     coefficients_oracle,
+    domain_test_function,
     eval_radial,
     h_solution,
     jet_at_origin,
@@ -208,3 +209,169 @@ def test_g_rate_sector_geometry():
     z = np.exp(0.2j)
     for k in range(3):
         assert np.real(g_rate(z, k)) < 0
+
+
+# ------------------------------------------------ separable apply_resolvent
+
+SPECS = [
+    (l, xi, kappa)
+    for l, xi in ALL_PAIRS
+    for kappa in (0.8, 0.0, -1.0) + (("inf",) if l == 2 else ())
+]
+Z_APPLY = 0.9 * np.exp(1j * np.pi / 7)
+
+
+def _loop_apply_resolvent(spec, z, f, r, r_max=None, points_per_unit=8):
+    """The per-point quadrature apply_resolvent replaced, kept as the oracle:
+    fresh Gauss panels over (0, r_i) and (r_i, r_max) for every output point."""
+    from radialspec.quadrature import panel_rule
+
+    rr = np.atleast_1d(np.asarray(r, np.float64))
+    if r_max is None:
+        r_max = 40.0 / min(-np.real(g_rate(z, k)) for k in range(3))
+    out = np.zeros(rr.shape, np.complex128)
+    for k in range(3):
+        ck = _phase(2 * k / 3) / (3.0 * z**4 * wronskian(spec.l, z, k))
+        gk = basis_g(spec.l, z, k)
+        hk = h_solution(spec, z, k)
+        for i, ri in enumerate(rr):
+            x1, w1 = panel_rule(0.0, ri, max(8, int(np.ceil(ri * points_per_unit))))
+            inner = np.sum(w1 * eval_radial(hk, x1) * f(x1))
+            x2, w2 = panel_rule(ri, r_max, max(8, int(np.ceil((r_max - ri) * points_per_unit))))
+            tail = np.sum(w2 * eval_radial(gk, x2) * f(x2))
+            out[i] += ck * (eval_radial(gk, ri) * inner + eval_radial(hk, ri) * tail)
+    return out
+
+
+def _real_test_function(spec, index=1):
+    f = domain_test_function(spec, index)
+    return lambda s: np.real(eval_radial(f, s))
+
+
+@pytest.mark.parametrize("l,xi,kappa", SPECS)
+def test_apply_resolvent_matches_per_point_loop(l, xi, kappa):
+    spec = make_extension_spec(l, xi, kappa)
+    f = _real_test_function(spec)
+    # unsorted, with a repeat, one point below r_switch of h_k
+    r = np.array([1.3, 0.4, 2.0, 0.4, 5.5, 0.05])
+    got = apply_resolvent(spec, Z_APPLY, f, r)
+    ref = _loop_apply_resolvent(spec, Z_APPLY, f, r)
+    assert got.shape == r.shape
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert got[1] == got[3]
+    one = apply_resolvent(spec, Z_APPLY, f, 2.0)
+    assert np.isscalar(one)
+    assert abs(one - ref[2]) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_apply_resolvent_samples_f_once():
+    spec = make_extension_spec(2, 1, 0.8)
+    f = _real_test_function(spec)
+    calls = []
+
+    def counted(s):
+        calls.append(np.size(s))
+        return f(s)
+
+    apply_resolvent(spec, Z_APPLY, counted, np.linspace(0.5, 6.0, 40))
+    assert len(calls) == 1
+
+
+def test_apply_resolvent_large_r_is_finite():
+    # d_k and h_k grow like e^{0.35 r}: the unscaled products overflow at r ~ 2000
+    from radialspec.quadrature import panel_rule
+
+    spec = make_extension_spec(2, 2, 0.8)
+    f = lambda s: np.exp(-0.125 * (s - 1500.0) ** 2)
+    r = np.array([1497.0, 1500.0, 1503.0])
+    # two panels per unit keep the 2500-unit grid small; f is smooth on that scale
+    got = apply_resolvent(spec, Z_APPLY, f, r, r_max=2500.0, points_per_unit=2)
+    assert np.all(np.isfinite(got))
+    for ri, ui in zip(r, got):
+        direct = 0.0
+        for a, b in ((1470.0, ri), (ri, 1530.0)):
+            x, w = panel_rule(a, b, 60)
+            direct += np.sum(w * kernel(spec, Z_APPLY, ri, x).total * f(x))
+        assert abs(ui - direct) <= 1e-9 * abs(direct)
+
+
+def _mp_kernel(spec, z, r, s):
+    """The closed form of kernel() in 50-digit arithmetic, unscaled."""
+    mp = pytest.importorskip("mpmath")
+    c = coefficients_closed_form(spec, z)
+    with mp.workdps(50):
+        lo, hi = mp.mpf(min(r, s)), mp.mpf(max(r, s))
+
+        def dl(chi, x):
+            p = chi - 1 / x if spec.l == 1 else chi**2 - 3 * chi / x + 3 / x**2
+            return p * mp.exp(chi * x)
+
+        total = 0
+        for k in range(3):
+            ck = mp.mpc(_phase(2 * k / 3) / (3.0 * z**4 * wronskian(spec.l, z, k)))
+            chi = [mp.mpc(g_rate(z, (k + m) % 3)) for m in range(3)]
+            h = dl(-chi[0], lo) + sum(
+                mp.mpc(coef[k]) * dl(chi[m], lo)
+                for m, coef in enumerate((c.alpha, c.beta, c.gamma))
+            )
+            total += ck * h * dl(chi[0], hi)
+        return complex(total)
+
+
+@pytest.mark.parametrize("l,xi,kappa", [(1, 1, 0.8), (1, 2, -1.0), (2, 1, 0.0), (2, 2, "inf")])
+def test_kernel_large_r_matches_mpmath(l, xi, kappa):
+    spec = make_extension_spec(l, xi, kappa)
+    kv = kernel(spec, Z_APPLY, 900.0, 901.0)
+    assert np.isfinite(kv.total)
+    ref = _mp_kernel(spec, Z_APPLY, 900.0, 901.0)
+    assert abs(kv.total - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("l,xi,kappa", [(1, 2, 0.8), (2, 1, -0.6), (2, 2, "inf")])
+def test_kernel_broadcast_equals_scalar_calls(l, xi, kappa):
+    spec = make_extension_spec(l, xi, kappa)
+    z = 1.1 * np.exp(0.3j)
+    grid = np.linspace(0.1, 6.0, 9)
+    kv = kernel(spec, z, grid[:, None], grid[None, :])
+    row = kernel(spec, z, grid, 1.7)
+    for i, r in enumerate(grid):
+        for j, s in enumerate(grid):
+            one = kernel(spec, z, float(r), float(s))
+            for name in ("total", "R0", "R1", "R2", "Rg"):
+                assert isinstance(getattr(one, name), complex)
+                assert getattr(kv, name)[i, j] == getattr(one, name)
+        assert row.total[i] == kernel(spec, z, float(r), 1.7).total
+    assert kv.total.shape == (9, 9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_kernel_rejects_nonfinite_points(bad):
+    spec = make_extension_spec(2, 1, 0.5)
+    z = np.exp(0.3j)
+    with pytest.raises(DomainError):
+        kernel(spec, z, bad, 1.0)
+    with pytest.raises(DomainError):
+        kernel(spec, z, 1.0, np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize(
+    "kwargs,error",
+    [
+        ({"r": np.array([0.5, np.nan])}, DomainError),
+        ({"r": np.inf}, DomainError),
+        ({"r_max": np.nan}, DomainError),
+        ({"r_max": 2.0}, DomainError),
+        ({"r_max": 1.5}, DomainError),
+        ({"points_per_unit": np.nan}, InvalidInput),
+        ({"points_per_unit": np.inf}, InvalidInput),
+        ({"points_per_unit": 0}, InvalidInput),
+        ({"points_per_unit": -4}, InvalidInput),
+    ],
+)
+def test_apply_resolvent_rejects_bad_input(kwargs, error):
+    spec = make_extension_spec(1, 1, 0.7)
+    args = {"r": np.array([0.5, 2.0]), **kwargs}
+    calls = []
+    with pytest.raises(error):
+        apply_resolvent(spec, np.exp(0.3j), lambda s: calls.append(s) or np.exp(-s), **args)
+    assert calls == []
