@@ -8,15 +8,23 @@ c(lambda) = <u^lambda, f>, its inverse, phi(T) f for scalar maps phi, and a
 Parseval defect measurement.
 
 Everything integrates on composite Gauss-Legendre grids: radially a uniform
-panel rule, spectrally a geometric stack near lambda = 0 (where densities
-vary fastest) joined to uniform panels narrow enough to resolve the
-oscillation e^{i lambda r_max}.
+panel rule, spectrally one panel on (0, lambda_min), a geometric stack above
+it (where densities vary fastest) joined to uniform panels narrow enough to
+resolve the oscillation e^{i lambda r_max}.  The rule starts at lambda = 0
+because c(lambda) need not vanish there: for xi=2, kappa=0 it tends to a
+nonzero constant (a zero-energy resonance).
 
 On these grids the continuous part is linear algebra on the basis matrix
 U[i, j] = u^{lambda_i}(r_j): forward is c = U (f w) and inverse is
-f = (w c) U.  U is evaluated in tiles of lambda rows and r columns
-(spectrum._basis_blocks) and never held whole, so the cost is O(n_lambda n_r)
-and the memory is a fixed budget per tile, independent of the grid sizes.
+f = (w c) U, computed by spectrum._basis_matvec and _basis_rmatvec without
+forming U.  On the uniform panels, which share their node offsets delta_j,
+e^{rho lambda r} factors into e^{rho a_p r} (one per panel a_p and r) times
+e^{rho delta_j r} (24 per r) times 1 + rho eps r, where eps is the few-ulp
+residue of each node's placement; each power r^-b of the D_l polynomial is
+then one matrix product over r.  The radii beyond 4 / (smallest node of
+these panels) cost O((n_panels + 24) n_r) exponentials plus the products; the
+other panels and the smaller radii are evaluated in memory-bounded tiles
+(spectrum._basis_blocks) at O(n_lambda n_r).
 """
 
 from __future__ import annotations
@@ -36,9 +44,10 @@ from .errors import (
 )
 from .quadrature import panel_rule
 from .rayleigh import eval_radial, t3_coefficients
-from .spectrum import _basis_blocks, bound_state
+from .spectrum import _basis_matvec, _basis_rmatvec, bound_state
 
 DEFAULT_LAMBDA_MAX = 8.0
+# end of the first spectral panel (0, lambda_min) and start of the geometric stack
 DEFAULT_LAMBDA_MIN = 1e-3
 
 
@@ -48,7 +57,6 @@ class SampledFunction:
 
     grid: np.ndarray
     values: np.ndarray
-    decay_rate: float = 1.0
 
     def __post_init__(self):
         g = _checked_grid(self.grid)
@@ -57,8 +65,6 @@ class SampledFunction:
             raise InvalidInput("values must match the grid")
         if not np.all(np.isfinite(v)):
             raise InvalidInput("values must be finite")
-        if self.decay_rate <= 0:
-            raise InvalidInput("decay_rate must be positive")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -90,8 +96,9 @@ def _checked_grid(grid) -> np.ndarray:
 def _check_cutoffs(r_max, lam_max):
     """InvalidInput unless 0 < r_max < inf and 4 DEFAULT_LAMBDA_MIN < lam_max < inf.
 
-    spectral_rule joins its geometric panels to the uniform ones at
-    min(0.5, lam_max / 4), which must lie above lambda_min.
+    spectral_rule's geometric panels run from lambda_min to the join with the
+    uniform ones at min(0.5, lam_max / 4), which must lie above lambda_min;
+    below lambda_min one more panel reaches down to 0.
     """
     if not (np.isfinite(r_max) and r_max > 0):
         raise InvalidInput(f"r_max must be finite and positive, got {r_max}")
@@ -143,9 +150,10 @@ def spectral_rule(
     lam_max: float = DEFAULT_LAMBDA_MAX,
     lam_min: float = DEFAULT_LAMBDA_MIN,
 ):
-    """Lambda quadrature: geometric panels near 0, oscillation-resolving above."""
+    """Lambda quadrature on (0, lam_max): one panel on (0, lam_min), geometric
+    panels up to the join, oscillation-resolving uniform panels above."""
     join = min(0.5, lam_max / 4.0)
-    edges = list(np.geomspace(lam_min, join, 13))
+    edges = [0.0, *np.geomspace(lam_min, join, 13)]
     width = min(2.0 * np.pi / r_max, (lam_max - join) / 4.0)
     edges.extend(np.arange(join + width, lam_max, width))
     edges.append(lam_max)
@@ -167,10 +175,7 @@ def _radial_samples(f, r_max: float):
 def _project(spec: ExtensionSpec, rn, fw, r_max: float, lam_max: float):
     """Coefficients of the weighted samples fw at the sorted radial nodes rn."""
     lam, lw = spectral_rule(r_max, lam_max)
-    c = np.zeros(lam.shape, np.float64)
-    fr = np.real(fw)
-    for rows, cols, u in _basis_blocks(spec, lam, rn):
-        c[rows] += u @ fr[cols]
+    c = _basis_matvec(spec, lam, rn, np.real(fw))
     b = bound_state(spec)
     cd = None
     if b is not None:
@@ -195,10 +200,7 @@ def forward(
 def inverse(spec: ExtensionSpec, coeffs: SpectralCoefficients, r_grid) -> SampledFunction:
     """Reconstruct f(r) = integral c(lambda) u^lambda(r) dlambda + discrete part."""
     r_grid = _checked_grid(r_grid)
-    acc = np.zeros(r_grid.shape, np.float64)
-    wc = coeffs.lam_weights * coeffs.c
-    for rows, cols, u in _basis_blocks(spec, coeffs.lam_grid, r_grid):
-        acc[cols] += wc[rows] @ u
+    acc = _basis_rmatvec(spec, coeffs.lam_grid, r_grid, coeffs.lam_weights * coeffs.c)
     if coeffs.c_discrete is not None:
         b = bound_state(spec)
         acc += coeffs.c_discrete * np.real(eval_radial(b.v, r_grid))

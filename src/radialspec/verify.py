@@ -238,10 +238,10 @@ def suite_kernel(seed: int = 0):
         fc = lambda x: np.real(eval_radial(f, x))
         h = 0.15
         r0 = 1.2
-        grid = r0 + h * np.arange(-6.0, 7.0)
-        uvals = np.real(apply_resolvent(spec, z, fc, grid))
-        fd = fd_apply(l, SampledFunction(grid, uvals), r0)
-        target = fd - np.real(z**6 * apply_resolvent(spec, z, fc, r0))
+        grid = r0 + h * np.arange(-6.0, 7.0)  # r0 is node 6
+        u = apply_resolvent(spec, z, fc, grid)
+        fd = fd_apply(l, SampledFunction(grid, np.real(u)), r0)
+        target = fd - np.real(z**6 * u[6])
         scale = max(abs(fc(np.array([r0]))[0]), 1e-6)
         out.append(
             _res("kernel", f"apply-then-operate residual l={l} xi={xi}", abs(target - fc(np.array([r0]))[0]) / scale, 1e-5)

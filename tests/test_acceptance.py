@@ -97,8 +97,10 @@ def test_criterion_07_continuous_spectrum():
 
 @pytest.mark.parametrize(
     "l,xi,kappa",
-    [(1, 1, 0.7), (1, 2, -0.8), (2, 1, 1.2), (2, 2, 0.5)],
-    ids=["l1x1", "l1x2-bound", "l2x1", "l2x2"],
+    [(1, 1, 0.7), (1, 2, -0.8), (2, 1, 1.2), (2, 2, 0.5), (1, 2, 0.0), (2, 2, 0.0)],
+    # xi=2, kappa=0: c(lambda) tends to a nonzero constant as lambda -> 0 (the
+    # zero-energy resonance), so the spectral rule must reach down to 0
+    ids=["l1x1", "l1x2-bound", "l2x1", "l2x2", "l1x2-resonance", "l2x2-resonance"],
 )
 def test_criterion_08_completeness(l, xi, kappa):
     spec = make_extension_spec(l, xi, kappa)

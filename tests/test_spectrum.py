@@ -9,6 +9,7 @@ from radialspec import (
     bound_state,
     check_membership,
     continuous_eigenfunction,
+    domain_test_function,
     eval_radial,
     jet_at_origin,
     make_extension_spec,
@@ -17,8 +18,11 @@ from radialspec import (
 from radialspec.core import ExtensionSpec
 from radialspec.quadrature import quad_semiaxis
 from radialspec.rayleigh import r_switch
+from radialspec import spectrum
 from radialspec.spectrum import (
     _basis_blocks,
+    _basis_matvec,
+    _basis_rmatvec,
     _eigenfunction_terms,
     asymptotic_density,
     eigen_residual_continuous,
@@ -125,6 +129,100 @@ def test_basis_blocks_reject_bad_lambda():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(DomainError):
             list(_basis_blocks(spec, np.array([0.5, bad]), r))
+
+
+# the transform's grids in the benchmark: r_max 70.6 (base_rate 0.4, index 1)
+# and 10.5 (base_rate 3.0, index 4), at the default lam_max of forward and of
+# apply_function
+CONTRACTION_GRIDS = [(r_max, lam_max) for r_max in (70.6, 10.5) for lam_max in (8.0, 16.0)]
+
+
+def _tile_contractions(spec, lam, r, x, y):
+    """U x and y U summed tile by tile over _basis_blocks."""
+    c, f = np.zeros(lam.size), np.zeros(r.size)
+    for rows, cols, u in _basis_blocks(spec, lam, r):
+        c[rows] += u @ x[cols]
+        f[cols] += y[rows] @ u
+    return c, f
+
+
+@pytest.mark.parametrize("r_max,lam_max", CONTRACTION_GRIDS)
+@pytest.mark.parametrize("l,xi,kappa", BASIS_CASES)
+def test_factored_contractions_match_tiles(l, xi, kappa, r_max, lam_max):
+    # every fourth radial node keeps the far radii, where the factored phase
+    # matters, at a quarter of the cost of the tile reference
+    spec = make_extension_spec(l, xi, kappa)
+    lam, lw = spectral_rule(r_max, lam_max)
+    r, rw = radial_rule(r_max)
+    r, rw = r[::4], 4.0 * rw[::4]
+    x = rw * np.exp(-0.1 * r) * np.cos(0.7 * r)
+    y = lw * np.exp(-0.3 * lam) * np.sin(3.0 * lam + 0.2)
+    shared = spectrum._SharedPanels.find(lam, r)
+    assert shared is not None and shared.cut < r.size
+    c_ref, f_ref = _tile_contractions(spec, lam, r, x, y)
+    c = _basis_matvec(spec, lam, r, x)
+    f = _basis_rmatvec(spec, lam, r, y)
+    assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+    assert np.max(np.abs(f - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
+
+
+def test_shared_panels_are_the_uniform_panels():
+    # all full-width uniform panels of the spectral rule share their offsets,
+    # whichever panel width is most common; grids without two such panels,
+    # or without a radius beyond the cut, stay on the tiles
+    for r_max, lam_max in CONTRACTION_GRIDS:
+        lam = spectral_rule(r_max, lam_max)[0]
+        r = radial_rule(r_max)[0]
+        width = min(2.0 * np.pi / r_max, (lam_max - 0.5) / 4.0)
+        shared = spectrum._SharedPanels.find(lam, r)
+        assert shared.first.size == int(np.floor((lam_max - 0.5) / width - 1e-9))
+        assert shared.cut == np.searchsorted(r, 4.0 / shared.first[0])
+        assert np.max(np.abs(shared.eps)) < 1e-13
+    r = radial_rule(10.5)[0]
+    lam = spectral_rule(10.5)[0]
+    assert spectrum._SharedPanels.find(lam[:-1], r) is None
+    assert spectrum._SharedPanels.find(lam[: 14 * 24], r) is None
+    assert spectrum._SharedPanels.find(lam, r[r < 4.0]) is None
+
+
+def _closed_form_longdouble(e, r):
+    """u^lambda(r) of a continuous eigenfunction with its rates and the
+    exponentials in long double, from its float64 amplitudes."""
+    ld = np.longdouble
+    lam = ld(e.lam)
+    a = e.u.scale * e.u.base.amplitudes[::2]
+    half = np.sqrt(ld(3.0)) / 2
+    rho2 = -half + 1j * ld(0.5) * np.sign(e.u.base.rates[2].imag)
+    rates = np.array([1j * lam, rho2 * lam], np.clongdouble)
+    rl = r.astype(ld)
+    out = np.zeros(r.size, np.clongdouble)
+    for ak, chi in zip(a, rates):
+        # D_2 e^{chi r} = (chi^2 - 3 chi / r + 3 / r^2) e^{chi r}
+        out += np.clongdouble(ak) * (chi * chi - 3 * chi / rl + 3 / (rl * rl)) * np.exp(chi * rl)
+    return 2 * out.real
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is double here")
+def test_factored_forward_far_region_long_double():
+    # the largest transform input of the benchmark (l=2, xi=2, kappa=0,
+    # base_rate 0.4) on apply_function's default lambda grid, its radii cut to
+    # those beyond the factoring cut, so each shared row of c comes from the
+    # factored sums alone.  Without the eps correction this reads 1.3e-14;
+    # the tiles read 3.5e-15
+    spec = make_extension_spec(2, 2, 0.0)
+    f = domain_test_function(spec, 1, 0.4)
+    lam = spectral_rule(70.6, 16.0)[0]
+    r, rw = radial_rule(70.6)
+    shared = spectrum._SharedPanels.find(lam, r)
+    r, rw = r[shared.cut :], rw[shared.cut :]
+    x = np.real(eval_radial(f, r)) * rw
+    c = _basis_matvec(spec, lam, r, x)
+    rows = shared.rows[::4]
+    xl = x.astype(np.longdouble)
+    ref = np.array(
+        [float(np.sum(_closed_form_longdouble(continuous_eigenfunction(spec, lam[i]), r) * xl)) for i in rows]
+    )
+    assert np.max(np.abs(c[rows] - ref)) <= 5e-15 * np.max(np.abs(ref))
 
 
 def test_eigenfunction_terms_vanishing_p_checked_per_row():

@@ -71,7 +71,7 @@ def test_inverse_rejects_bad_grid_before_evaluating(monkeypatch, grid):
     def no_basis(*args):
         raise AssertionError("basis evaluated before the grid was checked")
 
-    monkeypatch.setattr(transform, "_basis_blocks", no_basis)
+    monkeypatch.setattr(transform, "_basis_rmatvec", no_basis)
     spec = make_extension_spec(1, 1, -1.0)
     coeffs = SpectralCoefficients(np.array([0.5, 1.0]), np.ones(2), np.ones(2), 1.0)
     with pytest.raises(InvalidInput):
@@ -95,7 +95,7 @@ CUTOFF_CASES = (
 def test_smallest_accepted_lam_max():
     spec = make_extension_spec(1, 1, 0.7)
     coeffs = forward(spec, domain_test_function(spec), r_max=10.0, lam_max=0.0041)
-    assert coeffs.lam_grid[0] > transform.DEFAULT_LAMBDA_MIN
+    assert coeffs.lam_grid[0] > 0
     assert coeffs.lam_grid[-1] < 0.0041 and np.all(np.diff(coeffs.lam_grid) > 0)
 
 
@@ -390,3 +390,27 @@ def test_transform_builds_no_per_lambda_eigenfunctions(monkeypatch):
     coeffs = forward(spec, f, r_max=10.0, lam_max=2.0)
     rec = inverse(spec, coeffs, np.linspace(0.1, 5.0, 20))
     assert np.all(np.isfinite(coeffs.c)) and np.all(np.isfinite(rec.values))
+
+
+def test_forward_factors_most_of_the_basis(monkeypatch):
+    # the factored sums must carry the shared panels: a slip in detecting them
+    # falls back to the tiles everywhere, with the same values and no error.
+    # Count the (lambda, r) pairs the tiles evaluate on the benchmark's
+    # largest grid (r_max 70.6); about a quarter stay direct
+    pairs = []
+
+    def counted(fn):
+        def wrapper(r, rows, *rest):
+            pairs.append(rows.shape[0] * r.size)
+            return fn(r, rows, *rest)
+
+        return wrapper
+
+    monkeypatch.setattr(spectrum, "_eval_terms", counted(spectrum._eval_terms))
+    monkeypatch.setattr(spectrum, "_eval_series", counted(spectrum._eval_series))
+    spec = make_extension_spec(2, 2, 0.0)
+    f = domain_test_function(spec, 1, 0.4)
+    coeffs = forward(spec, f)
+    n_r = radial_rule(transform._default_r_max(f))[0].size
+    assert n_r == 1704
+    assert 0 < sum(pairs) <= coeffs.lam_grid.size * n_r / 3
