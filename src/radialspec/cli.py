@@ -25,7 +25,7 @@ from .errors import (
 )
 from .quadrature import quad_semiaxis
 from .rayleigh import eval_radial
-from .resolvent import kernel, set_coefficient_injection, validate_sector
+from .resolvent import kernel, validate_sector
 from .spectrum import bound_state, continuous_eigenfunction
 from .transform import (
     SampledFunction,
@@ -138,14 +138,8 @@ def cmd_resolvent(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.inject_coeff_error:
-        xi, l, k, name = args.inject_coeff_error.split(",")
-        set_coefficient_injection(((int(xi), int(l)), int(k), name))
     names = args.only.split(",") if args.only else None
-    try:
-        results = run_suites(names, seed=args.seed)
-    finally:
-        set_coefficient_injection(None)
+    results = run_suites(names, seed=args.seed)
     header = ("suite", "name", "passed", "measured", "threshold", "detail")
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -270,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--only", help="comma-separated suite names (%s)" % ", ".join(SUITES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-coeff-error", help=argparse.SUPPRESS)
     _add_output_args(p)
     p.set_defaults(func=cmd_verify)
 

@@ -15,13 +15,14 @@ not a square root of p/conj(p).
 On a lambda grid and an r grid the continuous basis U[i, j] = u^{lambda_i}(r_j)
 comes in memory-bounded tiles (_basis_blocks), and the transform's two
 contractions c = U x and f = y U never form it (_basis_matvec,
-_basis_rmatvec).  On Gauss panels of equal width, node lambda = a_p + delta_j
-+ eps splits e^{rho lambda r} into a factor per panel, a factor per shared
-node offset, and 1 + rho eps r for the few-ulp residue eps of the node
-placement, so beyond r = 4 / (the panels' smallest node) each power r^-b of the
+_basis_rmatvec).  On Gauss panels of equal width whose nodes are exact sums
+lambda = a_p + delta_j, as transform.spectral_rule places its uniform panels,
+e^{rho lambda r} splits into a factor per panel and a factor per shared node
+offset, so beyond r = 4 / (the panels' smallest node) each power r^-b of the
 D_l polynomial is one matrix product over r.  That part costs
 O((n_panels + 24) n_r) exponentials plus the products, against
-O(n_lambda n_r) for the tiles, which keep the other panels and smaller radii.
+O(n_lambda n_r) for the tiles, which keep the other panels and smaller radii;
+one loop over groups of lambda rows runs both.
 """
 
 from __future__ import annotations
@@ -258,32 +259,24 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
 
 
 # ------------------------------------------------ the factored basis
-# On a run of Gauss panels of equal width, node j of panel p is
-# lambda = a_p + delta_j + eps_pj: a_p the panel's first node, delta_j the
-# node offsets all these panels share, and eps_pj = (lambda - a_p) - delta_j the
-# few-ulp residue of the node placement (both subtractions exact by Sterbenz's
-# lemma).  Each closed-form term of the basis is then
+# On a run of Gauss panels of equal width whose nodes are exact sums
+# lambda = a_p + delta_j (a_p the panel's first node, delta_j the node offsets
+# all these panels share, as transform.spectral_rule places them), each
+# closed-form term of the basis is
 #
-#   A_kb(lambda) r^-b e^{rho_k lambda r}
-#     = A_kb(lambda) r^-b e^{rho_k a_p r} e^{rho_k delta_j r} (1 + rho_k eps_pj r)
+#   A_kb(lambda) r^-b e^{rho_k lambda r} = A_kb(lambda) r^-b e^{rho_k a_p r} e^{rho_k delta_j r}
 #
-# to O((eps r)^2) ~ 1e-25, with rho_0 = i and rho_1 = -e^{-+i pi/6} (terms 0
-# and 2 of _eigenfunction_terms at lambda = 1) and A_kb the signed amplitude
-# times the D_l polynomial coefficient of r^-b, b = 0..l.  The eps term adds
-# the power r^+1.  So on the columns r >= _FACTOR_CUT / min lambda a contraction
-# with the basis is, per k, one matrix product over r between the panel
-# factors E_k[p, r] = e^{rho_k a_p r} and the shared factors
-# D_k[j, r] r^(1-m) = e^{rho_k delta_j r} r^(1-m), m = 0..l+1: it takes
-# (panels + 24) n_r exponentials instead of n_lambda n_r.  Without the eps
-# term the phase error r eps is coherent along r: against a long-double
-# evaluation c(lambda) then errs by 1.3e-14 of max|c|, not 2.5e-15 (l=2 on
-# r_max 70.6, lambda_max 16).  Below the cut the powers r^-b are large and
-# cancel once combined, which summing each power over r first would not see,
-# so those columns stay on the tiles, as do all other panels.
+# with rho_0 = i and rho_1 = -e^{-+i pi/6} (terms 0 and 2 of
+# _eigenfunction_terms at lambda = 1) and A_kb the signed amplitude times the
+# D_l polynomial coefficient of r^-b, b = 0..l.  So on the columns
+# r >= _FACTOR_CUT / min lambda a contraction with the basis is, per (k, b),
+# one matrix product over r between the panel factors E_k[p, r] = e^{rho_k a_p r}
+# and the shared factors D_k[j, r] r^-b = e^{rho_k delta_j r} r^-b: it takes
+# (panels + 24) n_r exponentials instead of n_lambda n_r.  Below the cut the
+# powers r^-b are large and cancel once combined, which summing each power
+# over r first would not see, so those columns stay on the tiles, as do all
+# other panels.
 
-# panels share their node offsets when these agree within this many ulp of
-# the panel's largest node
-_OFFSET_ULPS = 32
 # first factored column: r >= _FACTOR_CUT / (smallest node of the panels)
 _FACTOR_CUT = 4.0
 # columns of one factored tile; a tile of E has at most
@@ -293,43 +286,37 @@ _FACTOR_COLS = 256
 
 @dataclass(frozen=True)
 class _SharedPanels:
-    """Gauss panels of a lambda grid with shared node offsets.
+    """Gauss panels of a lambda grid whose nodes are first + offsets exactly.
 
-    rows indexes their nodes in lambda, panel by panel; first holds a_p,
-    offsets delta_j, and eps the residues in the order of rows.  Columns from
-    cut on are factored."""
+    rows indexes their nodes in lambda, panel by panel; first holds a_p and
+    offsets delta_j.  Columns from cut on are factored."""
 
     rows: np.ndarray
     first: np.ndarray
     offsets: np.ndarray
-    eps: np.ndarray
     cut: int
 
     @classmethod
     def find(cls, lam: np.ndarray, r: np.ndarray):
         """The shared panels of lam, read as consecutive panels of GAUSS_ORDER
-        nodes, for sorted columns r; None when no two panels share their
-        offsets or no column lies beyond the cut (the tiles then do it all)."""
+        nodes, for sorted columns r: the panels whose nodes equal their first
+        node plus the most common row of offsets, bit for bit.  None when
+        fewer than two panels do or no column lies beyond the cut (the tiles
+        then do it all)."""
         if lam.size % GAUSS_ORDER:
             return None
         nodes = lam.reshape(-1, GAUSS_ORDER)
-        offsets = nodes - nodes[:, :1]
-        tol = _OFFSET_ULPS * np.spacing(np.max(nodes, axis=1))
-        # runs of panels whose widths agree with their neighbour's, the
-        # longest run's middle panel as the reference
-        order = np.argsort(offsets[:, -1], kind="stable")
-        gaps = np.diff(offsets[order, -1]) > tol[order[1:]]
-        run = max(np.split(order, np.flatnonzero(gaps) + 1), key=len)
-        ref = offsets[run[len(run) // 2]]
-        panels = np.flatnonzero(np.max(np.abs(offsets - ref), axis=1) <= tol)
+        first = nodes[:, 0]
+        kinds, counts = np.unique(nodes - first[:, None], axis=0, return_counts=True)
+        offsets = kinds[np.argmax(counts)]
+        panels = np.flatnonzero(np.all(first[:, None] + offsets == nodes, axis=1))
         if panels.size < 2:
             return None
-        first = nodes[panels, 0]
         cut = int(np.searchsorted(r, _FACTOR_CUT / np.min(nodes[panels])))
         if cut == r.size:
             return None
         rows = (panels[:, None] * GAUSS_ORDER + np.arange(GAUSS_ORDER)).ravel()
-        return cls(rows, first, ref, (offsets[panels] - ref).ravel(), cut)
+        return cls(rows, first[panels], offsets, cut)
 
     def parts(self):
         """The panels in runs short enough for one tile of E per column tile,
@@ -338,9 +325,7 @@ class _SharedPanels:
         for top in range(0, self.first.size, height):
             panels = slice(top, top + height)
             nodes = slice(top * GAUSS_ORDER, (top + height) * GAUSS_ORDER)
-            yield _SharedPanels(
-                self.rows[nodes], self.first[panels], self.offsets, self.eps[nodes], self.cut
-            )
+            yield _SharedPanels(self.rows[nodes], self.first[panels], self.offsets, self.cut)
 
     def tiles(self, rho, r):
         """Yield (k, cols, E, D): E = e^{rho_k a_p r} and D = e^{rho_k delta_j r}
@@ -352,21 +337,21 @@ class _SharedPanels:
                 yield k, cols, _exp_outer(rate, self.first, rc), _exp_outer(rate, self.offsets, rc)
 
     def sums(self, rho, npow: int, r, x):
-        """S[k, p, m, j] = sum_r x(r) r^(1-m) e^{rho_k (a_p + delta_j) r}: one
-        matrix product over r per (k, m) and tile."""
+        """S[k, p, b, j] = sum_r x(r) r^-b e^{rho_k (a_p + delta_j) r}: one
+        matrix product over r per (k, b) and tile."""
         out = np.zeros((2, self.first.size, npow, GAUSS_ORDER), np.complex128)
         for k, cols, e, d in self.tiles(rho, r):
-            for m, xm in enumerate(_powers(r[cols], npow) * x[cols]):
-                out[k, :, m] += e @ (d * xm).T
+            for b, xb in enumerate(_powers(r[cols], npow) * x[cols]):
+                out[k, :, b] += e @ (d * xb).T
         return out
 
     def synthesis(self, rho, z, r):
-        """f(r) = 2 Re sum_{k, p, m, j} z[k, p, m, j] r^(1-m) e^{rho_k (a_p + delta_j) r},
+        """f(r) = 2 Re sum_{k, p, b, j} z[k, p, b, j] r^-b e^{rho_k (a_p + delta_j) r},
         the transpose of sums."""
         acc = np.zeros(r.size, np.complex128)
         for k, cols, e, d in self.tiles(rho, r):
-            for m, rm in enumerate(_powers(r[cols], z.shape[2])):
-                acc[cols] += rm * np.einsum("wj,jw->w", e.T @ z[k, :, m], d)
+            for b, rb in enumerate(_powers(r[cols], z.shape[2])):
+                acc[cols] += rb * np.einsum("wj,jw->w", e.T @ z[k, :, b], d)
         return 2.0 * acc.real
 
     def locate(self, rows: slice):
@@ -387,8 +372,8 @@ def _pair_rates(spec: ExtensionSpec) -> np.ndarray:
 
 
 def _powers(r, npow: int):
-    """Rows r^(1-m) for m = 0..npow-1."""
-    return r ** (1.0 - np.arange(npow))[:, None]
+    """Rows r^-b for b = 0..npow-1."""
+    return r ** -np.arange(npow, dtype=np.float64)[:, None]
 
 
 def _amplitudes(terms, signs):
@@ -396,14 +381,18 @@ def _amplitudes(terms, signs):
     return signs[:, :, None] * terms[2][:, :, 0, :]
 
 
-def _split_basis(lam, r):
-    """(direct, shared): the rows of lam left wholly to the tiles, and the
-    _SharedPanels (or None) whose columns beyond the cut are factored."""
+def _row_groups(lam, r):
+    """Yield (idx, cut, part): the rows idx of lam are tiled on the columns
+    r[:cut], and the _SharedPanels part (None for the rows left wholly to the
+    tiles, whose cut is r.size) factors r[cut:]."""
     shared = _SharedPanels.find(lam, r)
     direct = np.arange(lam.size)
     if shared is not None:
         direct = np.setdiff1d(direct, shared.rows, assume_unique=True)
-    return direct, shared
+    yield direct, r.size, None
+    if shared is not None:
+        for part in shared.parts():
+            yield part.rows, shared.cut, part
 
 
 def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
@@ -411,23 +400,17 @@ def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
     without forming U: the shared panels' columns beyond the cut by the
     factored sums, everything else by tiles."""
     lam = _checked_lambda(lam)
-    direct, shared = _split_basis(lam, r)
-    c = np.zeros(lam.size)
-    c[direct] = _tile_matvec(spec, lam[direct], r, x)
-    if shared is None:
-        return c
-    rho, npow, cut = _pair_rates(spec), spec.l + 2, shared.cut
-    for part in shared.parts():
-        sums = part.sums(rho, npow, r[cut:], x[cut:])
-        for rows, terms, signs in _row_blocks(spec, lam[part.rows], cut):
-            idx = part.rows[rows]
+    rho, c = _pair_rates(spec), np.zeros(lam.size)
+    for idx, cut, part in _row_groups(lam, r):
+        if part is not None:
+            sums = part.sums(rho, spec.l + 1, r[cut:], x[cut:])
+        for rows, terms, signs in _row_blocks(spec, lam[idx], cut):
             for cols, u in _row_tiles(terms, signs, r[:cut]):
-                c[idx] += u @ x[cols]
-            p, j = part.locate(rows)
-            s = sums[:, p, :, j]  # (n, 2, npow)
-            eps = (part.eps[rows, None] * rho)[:, :, None]
-            far = _amplitudes(terms, signs) * (s[:, :, 1:] + eps * s[:, :, :-1])
-            c[idx] += 2.0 * np.sum(far, axis=(1, 2)).real
+                c[idx[rows]] += u @ x[cols]
+            if part is not None:
+                p, j = part.locate(rows)
+                far = _amplitudes(terms, signs) * sums[:, p, :, j]
+                c[idx[rows]] += 2.0 * np.sum(far, axis=(1, 2)).real
     return c
 
 
@@ -435,39 +418,19 @@ def _basis_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
     """f = y U for the basis U of _basis_blocks at sorted r >= 0 and real y,
     split between factored sums and tiles as in _basis_matvec."""
     lam = _checked_lambda(lam)
-    direct, shared = _split_basis(lam, r)
-    f = _tile_rmatvec(spec, lam[direct], r, y[direct])
-    if shared is None:
-        return f
-    rho, npow, cut = _pair_rates(spec), spec.l + 2, shared.cut
-    for part in shared.parts():
-        # z[k, p, m, j]: the coefficient of r^(1-m) e^{rho_k (a_p + delta_j) r}
-        z = np.zeros((2, part.first.size, npow, GAUSS_ORDER), np.complex128)
-        for rows, terms, signs in _row_blocks(spec, lam[part.rows], cut):
-            idx = part.rows[rows]
+    rho, f = _pair_rates(spec), np.zeros(r.size)
+    for idx, cut, part in _row_groups(lam, r):
+        if part is not None:
+            # z[k, p, b, j]: the coefficient of r^-b e^{rho_k (a_p + delta_j) r}
+            z = np.zeros((2, part.first.size, spec.l + 1, GAUSS_ORDER), np.complex128)
+        for rows, terms, signs in _row_blocks(spec, lam[idx], cut):
             for cols, u in _row_tiles(terms, signs, r[:cut]):
-                f[cols] += y[idx] @ u
-            p, j = part.locate(rows)
-            ay = _amplitudes(terms, signs) * y[idx, None, None]
-            z[:, p, 1:, j] += ay
-            z[:, p, :-1, j] += (part.eps[rows, None] * rho)[:, :, None] * ay
-        f[cut:] += part.synthesis(rho, z, r[cut:])
-    return f
-
-
-def _tile_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
-    """U x over the tiles of _basis_blocks."""
-    c = np.zeros(lam.size)
-    for rows, cols, u in _basis_blocks(spec, lam, r):
-        c[rows] += u @ x[cols]
-    return c
-
-
-def _tile_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
-    """y U over the tiles of _basis_blocks."""
-    f = np.zeros(r.size)
-    for rows, cols, u in _basis_blocks(spec, lam, r):
-        f[cols] += y[rows] @ u
+                f[cols] += y[idx[rows]] @ u
+            if part is not None:
+                p, j = part.locate(rows)
+                z[:, p, :, j] += _amplitudes(terms, signs) * y[idx[rows], None, None]
+        if part is not None:
+            f[cut:] += part.synthesis(rho, z, r[cut:])
     return f
 
 

@@ -17,13 +17,13 @@ nonzero constant (a zero-energy resonance).
 On these grids the continuous part is linear algebra on the basis matrix
 U[i, j] = u^{lambda_i}(r_j): forward is c = U (f w) and inverse is
 f = (w c) U, computed by spectrum._basis_matvec and _basis_rmatvec without
-forming U.  On the uniform panels, which share their node offsets delta_j,
-e^{rho lambda r} factors into e^{rho a_p r} (one per panel a_p and r) times
-e^{rho delta_j r} (24 per r) times 1 + rho eps r, where eps is the few-ulp
-residue of each node's placement; each power r^-b of the D_l polynomial is
-then one matrix product over r.  The radii beyond 4 / (smallest node of
-these panels) cost O((n_panels + 24) n_r) exponentials plus the products; the
-other panels and the smaller radii are evaluated in memory-bounded tiles
+forming U.  spectral_rule places each node of the uniform panels on the exact
+sum of its panel's start a_p and a node offset delta_j shared by all of them,
+so e^{rho lambda r} splits into e^{rho a_p r} (one per panel and r) times
+e^{rho delta_j r} (24 per r), and each power r^-b of the D_l polynomial is
+one matrix product over r.  The radii beyond 4 / (smallest node of these
+panels) cost O((n_panels + 24) n_r) exponentials plus the products; the other
+panels and the smaller radii are evaluated in memory-bounded tiles
 (spectrum._basis_blocks) at O(n_lambda n_r).
 """
 
@@ -145,31 +145,35 @@ def radial_rule(r_max: float, points_per_unit: float = 8.0):
     return panel_rule(0.0, r_max, npanels)
 
 
-def spectral_rule(
-    r_max: float,
-    lam_max: float = DEFAULT_LAMBDA_MAX,
-    lam_min: float = DEFAULT_LAMBDA_MIN,
-):
-    """Lambda quadrature on (0, lam_max): one panel on (0, lam_min), geometric
-    panels up to the join, oscillation-resolving uniform panels above."""
-    join = min(0.5, lam_max / 4.0)
-    edges = [0.0, *np.geomspace(lam_min, join, 13)]
-    width = min(2.0 * np.pi / r_max, (lam_max - join) / 4.0)
-    edges.extend(np.arange(join + width, lam_max, width))
-    edges.append(lam_max)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = panel_rule(a, b, 1)
-        nodes.append(x)
-        weights.append(w)
+def _on_multiples(x, q):
+    """x rounded to the nearest multiple of q."""
+    return np.round(x / q) * q
+
+
+def spectral_rule(r_max: float, lam_max: float = DEFAULT_LAMBDA_MAX):
+    """Lambda quadrature on (0, lam_max): one panel on (0, DEFAULT_LAMBDA_MIN),
+    geometric panels up to the join, oscillation-resolving uniform panels of
+    width w above it, and a last panel, about w wide at most, up to lam_max.
+
+    join, w and the node offsets delta_j of a width-w Gauss panel are rounded
+    to multiples of q = spacing(lam_max), which are exact doubles up to
+    lam_max, so node j of uniform panel p is the exact sum (join + p w) +
+    delta_j, within about q / 2 of the panel's Gauss node.
+    """
+    q = np.spacing(lam_max)
+    join = _on_multiples(min(0.5, lam_max / 4.0), q)
+    width = _on_multiples(min(2.0 * np.pi / r_max, (lam_max - join) / 4.0), q)
+    # the last panel keeps the remainder, more than 1e-9 w: never empty or a sliver
+    count = int(np.ceil((lam_max - join) / width - 1e-9)) - 1
+    edges = [0.0, *np.geomspace(DEFAULT_LAMBDA_MIN, join, 13)]
+    rules = [panel_rule(a, b, 1) for a, b in zip(edges[:-1], edges[1:])]
+    offsets, panel_weights = panel_rule(0.0, width, 1)
+    starts = join + width * np.arange(count)
+    uniform = starts[:, None] + _on_multiples(offsets, q)
+    rules.append((uniform.ravel(), np.tile(panel_weights, count)))
+    rules.append(panel_rule(join + width * count, lam_max, 1))
+    nodes, weights = zip(*rules)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _radial_samples(f, r_max: float):
-    """Radial nodes rn and weights rw on (0, r_max), and the weighted samples f(rn) rw."""
-    fc = _as_callable(f)
-    rn, rw = radial_rule(r_max)
-    return rn, rw, np.asarray(fc(rn)) * rw
 
 
 def _project(spec: ExtensionSpec, rn, fw, r_max: float, lam_max: float):
@@ -190,11 +194,7 @@ def forward(
     lam_max: float = DEFAULT_LAMBDA_MAX,
 ) -> SpectralCoefficients:
     """c(lambda) = <u^lambda, f> on the spectral grid; includes <v, f> if bound."""
-    if r_max is None:
-        r_max = _default_r_max(f)
-    _check_cutoffs(r_max, lam_max)
-    rn, _, fw = _radial_samples(f, r_max)
-    return _project(spec, rn, fw, r_max, lam_max)
+    return _forward_with_defect(spec, f, r_max, lam_max)[0]
 
 
 def inverse(spec: ExtensionSpec, coeffs: SpectralCoefficients, r_grid) -> SampledFunction:
@@ -256,14 +256,17 @@ def apply_function(
     return out
 
 
-def _forward_with_defect(spec: ExtensionSpec, f, r_max: float = None):
-    """forward(spec, f, r_max) at the default lam_max and the Parseval defect
-    of f against those coefficients, from one projection."""
+def _forward_with_defect(
+    spec: ExtensionSpec, f, r_max: float = None, lam_max: float = DEFAULT_LAMBDA_MAX
+):
+    """forward(spec, f, r_max, lam_max) and the Parseval defect of f against
+    those coefficients, from one projection."""
     if r_max is None:
         r_max = _default_r_max(f)
-    _check_cutoffs(r_max, DEFAULT_LAMBDA_MAX)
-    rn, rw, fw = _radial_samples(f, r_max)
-    coeffs = _project(spec, rn, fw, r_max, DEFAULT_LAMBDA_MAX)
+    _check_cutoffs(r_max, lam_max)
+    rn, rw = radial_rule(r_max)
+    fw = np.asarray(_as_callable(f)(rn)) * rw
+    coeffs = _project(spec, rn, fw, r_max, lam_max)
     norm2 = float(np.sum(np.abs(fw) ** 2 / rw))
     if norm2 == 0.0:
         return coeffs, 0.0

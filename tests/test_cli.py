@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from radialspec import resolvent
 from radialspec.cli import main, read_csv_function
 
 
@@ -174,13 +175,15 @@ def test_verify_only_wronskian(capsys):
 
 
 def test_verify_injected_error_detected(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--only", "coefficients",
-        "--inject-coeff-error", "1,1,2,alpha",
-    )
+    # flip the sign of the (xi, l) = (1, 1), k = 2 alpha coefficient
+    resolvent.set_coefficient_injection(((1, 1), 2, "alpha"))
+    try:
+        code, out, _ = run(capsys, "verify", "--only", "coefficients")
+    finally:
+        resolvent.set_coefficient_injection(None)
     assert code == 1
     assert "FAIL" in out
-    # and the harness restores the table afterwards
+    # and with the table restored the suite passes again
     code, _, _ = run(capsys, "verify", "--only", "coefficients")
     assert code == 0
 

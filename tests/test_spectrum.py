@@ -166,10 +166,26 @@ def test_factored_contractions_match_tiles(l, xi, kappa, r_max, lam_max):
     assert np.max(np.abs(f - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
 
 
+def test_spectral_rule_places_uniform_panels_exactly():
+    # node j of each full-width uniform panel is the exact sum of the panel's
+    # first node and one shared offset row; the panels cover (0, lam_max)
+    for r_max, lam_max in CONTRACTION_GRIDS + [(400.0, 8.0), (400.0, 16.0)]:
+        lam, lw = spectral_rule(r_max, lam_max)
+        width = min(2.0 * np.pi / r_max, (lam_max - 0.5) / 4.0)
+        # the first panel and 12 geometric ones, the uniform ones, the last
+        uniform = lam.reshape(-1, 24)[13:-1]
+        assert uniform.shape[0] == int(np.floor((lam_max - 0.5) / width - 1e-9))
+        first = uniform[:, 0]
+        offsets = uniform[0] - first[0]
+        assert np.array_equal(uniform, first[:, None] + offsets)
+        assert np.array_equal(uniform - first[:, None], np.broadcast_to(offsets, uniform.shape))
+        assert abs(np.sum(lw) - lam_max) <= 1e-14 * lam_max
+
+
 def test_shared_panels_are_the_uniform_panels():
-    # all full-width uniform panels of the spectral rule share their offsets,
-    # whichever panel width is most common; grids without two such panels,
-    # or without a radius beyond the cut, stay on the tiles
+    # all full-width uniform panels of the spectral rule share their offsets
+    # exactly; grids without two such panels, or without a radius beyond the
+    # cut, stay on the tiles
     for r_max, lam_max in CONTRACTION_GRIDS:
         lam = spectral_rule(r_max, lam_max)[0]
         r = radial_rule(r_max)[0]
@@ -177,12 +193,41 @@ def test_shared_panels_are_the_uniform_panels():
         shared = spectrum._SharedPanels.find(lam, r)
         assert shared.first.size == int(np.floor((lam_max - 0.5) / width - 1e-9))
         assert shared.cut == np.searchsorted(r, 4.0 / shared.first[0])
-        assert np.max(np.abs(shared.eps)) < 1e-13
+        exact = (shared.first[:, None] + shared.offsets).ravel()
+        assert np.array_equal(lam[shared.rows], exact)
     r = radial_rule(10.5)[0]
     lam = spectral_rule(10.5)[0]
     assert spectrum._SharedPanels.find(lam[:-1], r) is None
     assert spectrum._SharedPanels.find(lam[: 14 * 24], r) is None
     assert spectrum._SharedPanels.find(lam, r[r < 4.0]) is None
+
+
+@pytest.mark.parametrize("l,xi,kappa", [(1, 1, 0.8), (2, 2, 0.0), (2, 1, -1.3)])
+def test_panels_one_ulp_off_stay_on_the_tiles(l, xi, kappa):
+    # one node of every other uniform panel moved up by one ulp, a different
+    # node in each: those panels are no longer exact sums first + offsets, so
+    # find leaves them to the tiles, while the untouched half stays factored
+    # and the contractions still agree with the tiles
+    spec = make_extension_spec(l, xi, kappa)
+    lam, lw = spectral_rule(70.6, 8.0)
+    r, rw = radial_rule(70.6)
+    r, rw = r[::4], 4.0 * rw[::4]
+    nodes = lam.reshape(-1, 24).copy()
+    uniform = np.arange(13, nodes.shape[0] - 1)
+    moved = uniform[::2]
+    for n, p in enumerate(moved):
+        j = 1 + n % 23
+        nodes[p, j] = np.nextafter(nodes[p, j], np.inf)
+    lam = nodes.ravel()
+    shared = spectrum._SharedPanels.find(lam, r)
+    assert np.array_equal(np.unique(shared.rows // 24), uniform[1::2])
+    x = rw * np.exp(-0.1 * r) * np.cos(0.7 * r)
+    y = lw * np.exp(-0.3 * lam) * np.sin(3.0 * lam + 0.2)
+    c_ref, f_ref = _tile_contractions(spec, lam, r, x, y)
+    c = _basis_matvec(spec, lam, r, x)
+    f = _basis_rmatvec(spec, lam, r, y)
+    assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+    assert np.max(np.abs(f - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
 
 
 def _closed_form_longdouble(e, r):
@@ -207,8 +252,7 @@ def test_factored_forward_far_region_long_double():
     # the largest transform input of the benchmark (l=2, xi=2, kappa=0,
     # base_rate 0.4) on apply_function's default lambda grid, its radii cut to
     # those beyond the factoring cut, so each shared row of c comes from the
-    # factored sums alone.  Without the eps correction this reads 1.3e-14;
-    # the tiles read 3.5e-15
+    # factored sums alone.  This reads 3.4e-15, the tiles 3.8e-15
     spec = make_extension_spec(2, 2, 0.0)
     f = domain_test_function(spec, 1, 0.4)
     lam = spectral_rule(70.6, 16.0)[0]

@@ -99,6 +99,17 @@ def test_smallest_accepted_lam_max():
     assert coeffs.lam_grid[-1] < 0.0041 and np.all(np.diff(coeffs.lam_grid) > 0)
 
 
+@pytest.mark.parametrize("r_max,lam_max", ((10.0, 2.1), (1.0, 2.1), (70.6, 8.0)))
+def test_spectral_rule_last_panel_keeps_the_remainder(r_max, lam_max):
+    # where (lam_max - 0.5) / w lands on an integer, as when w = (lam_max - 0.5) / 4,
+    # the last panel is the remainder up to lam_max, neither empty nor a sliver
+    lam, lw = spectral_rule(r_max, lam_max)
+    width = min(2.0 * np.pi / r_max, (lam_max - 0.5) / 4.0)
+    last = np.sum(lw[-24:])
+    assert 1e-9 * width < last <= (1.0 + 1e-9) * width
+    assert np.all(np.diff(lam) > 0) and lam[-1] < lam_max
+
+
 @pytest.mark.parametrize("kwargs", CUTOFF_CASES)
 def test_bad_cutoffs_rejected(kwargs):
     spec = make_extension_spec(1, 1, 0.7)
