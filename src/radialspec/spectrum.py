@@ -18,11 +18,15 @@ contractions c = U x and f = y U never form it (_basis_matvec,
 _basis_rmatvec).  On Gauss panels of equal width whose nodes are exact sums
 lambda = a_p + delta_j, as transform.spectral_rule places its uniform panels,
 e^{rho lambda r} splits into a factor per panel and a factor per shared node
-offset, so beyond r = 4 / (the panels' smallest node) each power r^-b of the
-D_l polynomial is one matrix product over r.  That part costs
-O((n_panels + 24) n_r) exponentials plus the products, against
-O(n_lambda n_r) for the tiles, which keep the other panels and smaller radii;
-one loop over groups of lambda rows runs both.
+offset, so beyond r = 4 / lambda each power r^-b of the D_l polynomial is one
+matrix product over r.  That cut is taken per run of panels (one tile of
+rows below the cut each), so panels at large lambda are factored from small
+radii.  That part costs O((n_panels + 24) n_r) exponentials plus the
+products, against O(n_lambda n_r) for the tiles, which keep the other panels
+and smaller radii; one loop over groups of lambda rows runs both.  Both
+evaluate the two exponentials of a closed-form pair, e^{i lambda r} and the
+decaying e^{rho_1 lambda r}, from one complex exponential e^{i lambda r / 2}
+and one real one.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .rayleigh import (
     SERIES_ORDER,
     SWITCH_SCALE,
     _eval_series,
-    _eval_terms,
     _series_coefficients,
     dl_exponential,
     eval_radial,
@@ -54,6 +57,8 @@ _SIGN_SCAN = np.linspace(0.25, 6.0, 24)
 # fewest lambda rows, which share their set-up (terms, series, sign)
 _BLOCK_BYTES = 1 << 19
 _MIN_ROWS = 16
+# -Re rho_1 of the closed-form pair (see _pair_exponentials)
+_HALF_SQRT3 = np.sqrt(3.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -180,16 +185,50 @@ def continuous_eigenfunction(spec: ExtensionSpec, lam: float) -> ContinuousEigen
     return ContinuousEigenfunction(float(lam), spec, float(np.angle(p)), u)
 
 
-def _split_rows(r, radii, pair, polys, coefs):
+def _pair_exponentials(theta, tilt):
+    """(e^{i theta}, e^{rho_1 theta}) with rho_1 = -sqrt(3)/2 + tilt i/2 (tilt
+    +-1), the exponentials of a closed-form pair at theta = lambda r, from one
+    complex exponential h = e^{i theta / 2}: e^{i theta} = h^2 and
+    e^{rho_1 theta} = e^{-sqrt(3) theta / 2} h, conjugated for tilt -1."""
+    h = np.exp(0.5j * theta)
+    decaying = h * np.exp(-_HALF_SQRT3 * theta)
+    if tilt < 0:
+        np.conjugate(decaying, out=decaying)
+    return np.multiply(h, h, out=h), decaying
+
+
+def _pair_rates(spec: ExtensionSpec) -> np.ndarray:
+    """rho_k: the rates of closed-form terms 0 and 2 are rho_k lambda."""
+    return _eigenfunction_terms(spec, 1.0)[2][::2]
+
+
+def _tilt(spec: ExtensionSpec) -> float:
+    """The sign of Im rho_1, which _pair_exponentials takes as its tilt."""
+    return float(np.sign(_pair_rates(spec)[1].imag))
+
+
+def _split_rows(r, radii, lam, tilt, polys, coefs):
     """Rows of real values at sorted r >= 0 with eval_radial's split: row b
-    is the closed form 2 Re sum_k (sum_j polys[b, k, 0, j] r^-j) e^{pair[b, k, 0] r}
-    above radii[b], and the origin series with real coefs[b] at or below it."""
+    is the closed form 2 Re sum_k (sum_j polys[b, k, j] r^-j) e^{rho_k lam[b] r}
+    above radii[b], with the pair rates rho_k of _pair_exponentials, and the
+    origin series with real coefs[b] at or below it."""
     split = np.searchsorted(r, radii, side="right")
     lo, hi = int(split.min()), int(split.max())
     out = np.empty((radii.size, r.size))
     if lo < r.size:
-        terms = _eval_terms(r[lo:], pair, polys).real
-        out[:, lo:] = 2.0 * terms.sum(axis=1)
+        far = r[lo:]
+        inv = 1.0 / far
+        e0, e1 = _pair_exponentials(np.multiply.outer(lam, far), tilt)
+        for k, e in enumerate((e0, e1)):
+            # Horner in 1/r, in place, then into the exponential's own buffer
+            q = np.multiply.outer(polys[:, k, -1], inv)
+            for j in range(polys.shape[-1] - 2, 0, -1):
+                q += polys[:, k, j, None]
+                q *= inv
+            q += polys[:, k, 0, None]
+            e *= q
+        e0 += e1
+        out[:, lo:] = 2.0 * e0.real
     if hi > 0:
         near = _eval_series(r[:hi], coefs)
         out[:, :lo] = near[:, :lo]
@@ -216,15 +255,16 @@ def _row_blocks(spec: ExtensionSpec, lam, ncols: int):
     columns allows, and at least _MIN_ROWS; the set-up is made per block, so
     its memory stays bounded too (the sign scan is a tile of its own)."""
     height = max(_MIN_ROWS, _TILE_PAIRS // max(ncols, _SIGN_SCAN.size))
+    tilt = _tilt(spec)
     for start in range(0, lam.size, height):
         rows = slice(start, start + height)
         pref, amps, rates, _ = _eigenfunction_terms(spec, lam[rows])
         a = pref[:, None] * amps
-        pair = rates[:, ::2, None]
         terms = (
             SWITCH_SCALE / np.max(np.abs(rates), axis=-1),
-            pair,
-            a[:, ::2, None, None] * exponential_poly(spec.l, pair),
+            lam[rows],
+            tilt,
+            a[:, ::2, None] * exponential_poly(spec.l, rates[:, ::2]),
             _series_coefficients(spec.l, a, rates, SERIES_ORDER).real,
         )
         signs = _canonical_signs(_split_rows(_SIGN_SCAN, *terms))[:, None]
@@ -248,9 +288,9 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
     of r when that still leaves _MIN_ROWS lambdas, so memory stays bounded
     whatever the grid sizes.  u is real and its terms come in the conjugate
     pairs (0, 1) and (2, 3), so the closed form evaluates terms 0 and 2 and
-    doubles the real part (each term as its own single-term row, which keeps
-    the term axis out of numpy's inner loops); the origin series keeps the
-    real part of its coefficients.
+    doubles the real part, both from one complex exponential per (lambda, r)
+    pair (_pair_exponentials); the origin series keeps the real part of its
+    coefficients.
     """
     lam = _checked_lambda(lam)
     for rows, terms, signs in _row_blocks(spec, lam, r.size):
@@ -269,15 +309,28 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
 # with rho_0 = i and rho_1 = -e^{-+i pi/6} (terms 0 and 2 of
 # _eigenfunction_terms at lambda = 1) and A_kb the signed amplitude times the
 # D_l polynomial coefficient of r^-b, b = 0..l.  So on the columns
-# r >= _FACTOR_CUT / min lambda a contraction with the basis is, per (k, b),
-# one matrix product over r between the panel factors E_k[p, r] = e^{rho_k a_p r}
-# and the shared factors D_k[j, r] r^-b = e^{rho_k delta_j r} r^-b: it takes
-# (panels + 24) n_r exponentials instead of n_lambda n_r.  Below the cut the
-# powers r^-b are large and cancel once combined, which summing each power
-# over r first would not see, so those columns stay on the tiles, as do all
-# other panels.
+# r >= _FACTOR_CUT / (the panel's smallest node) a contraction with the basis
+# is, per (k, b), one matrix product over r between the panel factors
+# E_k[p, r] = e^{rho_k a_p r} and the shared factors
+# D_k[j, r] r^-b = e^{rho_k delta_j r} r^-b: it takes (panels + 24) n_r
+# exponentials instead of n_lambda n_r.  Below the cut the powers r^-b are
+# large and cancel once combined, which summing each power over r first would
+# not see, so those columns stay on the tiles, as do all other panels.
+#
+# The cut is taken per run of panels, walking up from the lowest lambda: a run
+# starts at a panel and holds as many panels as one tile of its own cut's
+# columns allows (_TILE_PAIRS pairs), and every panel of the run takes the
+# run's largest cut (its first panel's, on an ascending grid), so each tiled
+# run is one rectangle and every factored node has lambda r >= _FACTOR_CUT.
+# The factored sums of a part of up to 128 panels start at its smallest cut,
+# with E set to zero left of each panel's own cut.
+#
+# E, D and the tiles take both exponentials of the pair from one complex
+# exponential (_pair_exponentials): rho_1 = -sqrt(3)/2 +- i/2 for every
+# (l, xi), so e^{rho_1 theta} is a real decay times e^{+-i theta / 2}, whose
+# square is e^{i theta}.
 
-# first factored column: r >= _FACTOR_CUT / (smallest node of the panels)
+# first factored column: r >= _FACTOR_CUT / (smallest node of the run)
 _FACTOR_CUT = 4.0
 # columns of one factored tile; a tile of E has at most
 # _BLOCK_BYTES / (16 _FACTOR_COLS) = 128 panels
@@ -289,19 +342,20 @@ class _SharedPanels:
     """Gauss panels of a lambda grid whose nodes are first + offsets exactly.
 
     rows indexes their nodes in lambda, panel by panel; first holds a_p and
-    offsets delta_j.  Columns from cut on are factored."""
+    offsets delta_j.  Panel p is factored on the columns from cuts[p] on, the
+    cut of its run."""
 
     rows: np.ndarray
     first: np.ndarray
     offsets: np.ndarray
-    cut: int
+    cuts: np.ndarray
 
     @classmethod
     def find(cls, lam: np.ndarray, r: np.ndarray):
         """The shared panels of lam, read as consecutive panels of GAUSS_ORDER
         nodes, for sorted columns r: the panels whose nodes equal their first
         node plus the most common row of offsets, bit for bit.  None when
-        fewer than two panels do or no column lies beyond the cut (the tiles
+        fewer than two panels do or no column lies beyond any cut (the tiles
         then do it all)."""
         if lam.size % GAUSS_ORDER:
             return None
@@ -312,63 +366,66 @@ class _SharedPanels:
         panels = np.flatnonzero(np.all(first[:, None] + offsets == nodes, axis=1))
         if panels.size < 2:
             return None
-        cut = int(np.searchsorted(r, _FACTOR_CUT / np.min(nodes[panels])))
-        if cut == r.size:
+        own = np.searchsorted(r, _FACTOR_CUT / np.min(nodes[panels], axis=1))
+        cuts, top = np.empty_like(own), 0
+        while top < own.size:
+            run = slice(top, top + max(1, _TILE_PAIRS // (GAUSS_ORDER * max(own[top], 1))))
+            cuts[run] = np.max(own[run])
+            top = run.stop
+        if np.min(cuts) == r.size:
             return None
         rows = (panels[:, None] * GAUSS_ORDER + np.arange(GAUSS_ORDER)).ravel()
-        return cls(rows, first[panels], offsets, cut)
+        return cls(rows, first[panels], offsets, cuts)
 
     def parts(self):
-        """The panels in runs short enough for one tile of E per column tile,
-        which also bounds the per-panel sums of a run."""
+        """The panels in parts short enough for one tile of E per column tile,
+        which also bounds the per-panel sums of a part."""
         height = _BLOCK_BYTES // (16 * _FACTOR_COLS)
         for top in range(0, self.first.size, height):
             panels = slice(top, top + height)
             nodes = slice(top * GAUSS_ORDER, (top + height) * GAUSS_ORDER)
-            yield _SharedPanels(self.rows[nodes], self.first[panels], self.offsets, self.cut)
+            yield _SharedPanels(self.rows[nodes], self.first[panels], self.offsets, self.cuts[panels])
 
-    def tiles(self, rho, r):
-        """Yield (k, cols, E, D): E = e^{rho_k a_p r} and D = e^{rho_k delta_j r}
-        on tiles of the columns r, E within _BLOCK_BYTES for a part's panels."""
-        for k, rate in enumerate(rho):
-            for first in range(0, r.size, _FACTOR_COLS):
-                cols = slice(first, first + _FACTOR_COLS)
-                rc = r[cols]
-                yield k, cols, _exp_outer(rate, self.first, rc), _exp_outer(rate, self.offsets, rc)
+    def runs(self):
+        """Yield (at, cut): the positions at in self.rows of each stretch of
+        panels with one cut."""
+        ends = np.append(np.flatnonzero(np.diff(self.cuts)) + 1, self.cuts.size)
+        for start, stop in zip(np.append(0, ends[:-1]), ends):
+            yield np.arange(start * GAUSS_ORDER, stop * GAUSS_ORDER), int(self.cuts[start])
 
-    def sums(self, rho, npow: int, r, x):
-        """S[k, p, b, j] = sum_r x(r) r^-b e^{rho_k (a_p + delta_j) r}: one
-        matrix product over r per (k, b) and tile."""
+    def tiles(self, tilt, r):
+        """Yield (cols, E, D) over tiles of the columns r from the smallest cut
+        on: E[k] = e^{rho_k a_p r}, zero left of each panel's cut, and
+        D[k] = e^{rho_k delta_j r}, E within _BLOCK_BYTES for a part's panels."""
+        for start in range(int(np.min(self.cuts)), r.size, _FACTOR_COLS):
+            cols = slice(start, min(start + _FACTOR_COLS, r.size))
+            rc = r[cols]
+            e = _pair_exponentials(np.multiply.outer(self.first, rc), tilt)
+            below = self.cuts[:, None] > np.arange(cols.start, cols.stop)
+            for ek in e:
+                ek[below] = 0.0
+            yield cols, e, _pair_exponentials(np.multiply.outer(self.offsets, rc), tilt)
+
+    def sums(self, tilt, npow: int, r, x):
+        """S[k, p, b, j] = sum_r x(r) r^-b e^{rho_k (a_p + delta_j) r} over the
+        columns from panel p's cut on: one matrix product over r per (k, b)
+        and tile."""
         out = np.zeros((2, self.first.size, npow, GAUSS_ORDER), np.complex128)
-        for k, cols, e, d in self.tiles(rho, r):
+        for cols, e, d in self.tiles(tilt, r):
             for b, xb in enumerate(_powers(r[cols], npow) * x[cols]):
-                out[k, :, b] += e @ (d * xb).T
+                for k in range(2):
+                    out[k, :, b] += e[k] @ (d[k] * xb).T
         return out
 
-    def synthesis(self, rho, z, r):
-        """f(r) = 2 Re sum_{k, p, b, j} z[k, p, b, j] r^-b e^{rho_k (a_p + delta_j) r},
-        the transpose of sums."""
+    def synthesis(self, tilt, z, r):
+        """f(r) = 2 Re sum_{k, p, b, j} z[k, p, b, j] r^-b e^{rho_k (a_p + delta_j) r}
+        on the columns from panel p's cut on, the transpose of sums."""
         acc = np.zeros(r.size, np.complex128)
-        for k, cols, e, d in self.tiles(rho, r):
+        for cols, e, d in self.tiles(tilt, r):
             for b, rb in enumerate(_powers(r[cols], z.shape[2])):
-                acc[cols] += rb * np.einsum("wj,jw->w", e.T @ z[k, :, b], d)
+                for k in range(2):
+                    acc[cols] += rb * np.einsum("wj,jw->w", e[k].T @ z[k, :, b], d[k])
         return 2.0 * acc.real
-
-    def locate(self, rows: slice):
-        """(panel, node) indices of a slice of self.rows."""
-        t = np.arange(self.rows.size)[rows]
-        return t // GAUSS_ORDER, t % GAUSS_ORDER
-
-
-def _exp_outer(rate, a, r):
-    """e^{rate a_p r_j}, exponentiated in place."""
-    out = rate * np.multiply.outer(a, r)
-    return np.exp(out, out=out)
-
-
-def _pair_rates(spec: ExtensionSpec) -> np.ndarray:
-    """rho_k: the rates of closed-form terms 0 and 2 are rho_k lambda."""
-    return _eigenfunction_terms(spec, 1.0)[2][::2]
 
 
 def _powers(r, npow: int):
@@ -378,39 +435,41 @@ def _powers(r, npow: int):
 
 def _amplitudes(terms, signs):
     """A[i, k, b]: the signed coefficient of r^-b e^{rho_k lambda_i r} in row i."""
-    return signs[:, :, None] * terms[2][:, :, 0, :]
+    return signs[:, :, None] * terms[3]
 
 
 def _row_groups(lam, r):
-    """Yield (idx, cut, part): the rows idx of lam are tiled on the columns
-    r[:cut], and the _SharedPanels part (None for the rows left wholly to the
-    tiles, whose cut is r.size) factors r[cut:]."""
+    """Yield (part, runs): a _SharedPanels part (None for the rows left wholly
+    to the tiles) and its runs (idx, cut, at).  The rows idx of lam are tiled
+    on the columns r[:cut], and sit at positions at of part.rows, whose sums
+    factor the columns beyond each panel's cut."""
     shared = _SharedPanels.find(lam, r)
     direct = np.arange(lam.size)
     if shared is not None:
         direct = np.setdiff1d(direct, shared.rows, assume_unique=True)
-    yield direct, r.size, None
+    yield None, [(direct, r.size, None)]
     if shared is not None:
         for part in shared.parts():
-            yield part.rows, shared.cut, part
+            yield part, [(part.rows[at], cut, at) for at, cut in part.runs()]
 
 
 def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
     """c = U x for the basis U of _basis_blocks at sorted r >= 0 and real x,
-    without forming U: the shared panels' columns beyond the cut by the
+    without forming U: the shared panels' columns beyond their cuts by the
     factored sums, everything else by tiles."""
     lam = _checked_lambda(lam)
-    rho, c = _pair_rates(spec), np.zeros(lam.size)
-    for idx, cut, part in _row_groups(lam, r):
+    tilt, c = _tilt(spec), np.zeros(lam.size)
+    for part, runs in _row_groups(lam, r):
         if part is not None:
-            sums = part.sums(rho, spec.l + 1, r[cut:], x[cut:])
-        for rows, terms, signs in _row_blocks(spec, lam[idx], cut):
-            for cols, u in _row_tiles(terms, signs, r[:cut]):
-                c[idx[rows]] += u @ x[cols]
-            if part is not None:
-                p, j = part.locate(rows)
-                far = _amplitudes(terms, signs) * sums[:, p, :, j]
-                c[idx[rows]] += 2.0 * np.sum(far, axis=(1, 2)).real
+            sums = part.sums(tilt, spec.l + 1, r, x)
+        for idx, cut, at in runs:
+            for rows, terms, signs in _row_blocks(spec, lam[idx], cut):
+                for cols, u in _row_tiles(terms, signs, r[:cut]):
+                    c[idx[rows]] += u @ x[cols]
+                if part is not None:
+                    p, j = np.divmod(at[rows], GAUSS_ORDER)
+                    far = _amplitudes(terms, signs) * sums[:, p, :, j]
+                    c[idx[rows]] += 2.0 * np.sum(far, axis=(1, 2)).real
     return c
 
 
@@ -418,19 +477,20 @@ def _basis_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
     """f = y U for the basis U of _basis_blocks at sorted r >= 0 and real y,
     split between factored sums and tiles as in _basis_matvec."""
     lam = _checked_lambda(lam)
-    rho, f = _pair_rates(spec), np.zeros(r.size)
-    for idx, cut, part in _row_groups(lam, r):
+    tilt, f = _tilt(spec), np.zeros(r.size)
+    for part, runs in _row_groups(lam, r):
         if part is not None:
             # z[k, p, b, j]: the coefficient of r^-b e^{rho_k (a_p + delta_j) r}
             z = np.zeros((2, part.first.size, spec.l + 1, GAUSS_ORDER), np.complex128)
-        for rows, terms, signs in _row_blocks(spec, lam[idx], cut):
-            for cols, u in _row_tiles(terms, signs, r[:cut]):
-                f[cols] += y[idx[rows]] @ u
-            if part is not None:
-                p, j = part.locate(rows)
-                z[:, p, :, j] += _amplitudes(terms, signs) * y[idx[rows], None, None]
+        for idx, cut, at in runs:
+            for rows, terms, signs in _row_blocks(spec, lam[idx], cut):
+                for cols, u in _row_tiles(terms, signs, r[:cut]):
+                    f[cols] += y[idx[rows]] @ u
+                if part is not None:
+                    p, j = np.divmod(at[rows], GAUSS_ORDER)
+                    z[:, p, :, j] += _amplitudes(terms, signs) * y[idx[rows], None, None]
         if part is not None:
-            f[cut:] += part.synthesis(rho, z, r[cut:])
+            f += part.synthesis(tilt, z, r)
     return f
 
 

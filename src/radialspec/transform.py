@@ -21,10 +21,11 @@ forming U.  spectral_rule places each node of the uniform panels on the exact
 sum of its panel's start a_p and a node offset delta_j shared by all of them,
 so e^{rho lambda r} splits into e^{rho a_p r} (one per panel and r) times
 e^{rho delta_j r} (24 per r), and each power r^-b of the D_l polynomial is
-one matrix product over r.  The radii beyond 4 / (smallest node of these
-panels) cost O((n_panels + 24) n_r) exponentials plus the products; the other
-panels and the smaller radii are evaluated in memory-bounded tiles
-(spectrum._basis_blocks) at O(n_lambda n_r).
+one matrix product over r.  The radii beyond 4 / lambda, with the cut taken
+per run of these panels, cost O((n_panels + 24) n_r) exponentials plus the
+products; the other panels and the smaller radii are evaluated in
+memory-bounded tiles (spectrum._basis_blocks) at O(n_lambda n_r), with one
+complex exponential per (lambda, r) pair.
 """
 
 from __future__ import annotations

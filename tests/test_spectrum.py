@@ -158,7 +158,7 @@ def test_factored_contractions_match_tiles(l, xi, kappa, r_max, lam_max):
     x = rw * np.exp(-0.1 * r) * np.cos(0.7 * r)
     y = lw * np.exp(-0.3 * lam) * np.sin(3.0 * lam + 0.2)
     shared = spectrum._SharedPanels.find(lam, r)
-    assert shared is not None and shared.cut < r.size
+    assert shared is not None and np.min(shared.cuts) < r.size
     c_ref, f_ref = _tile_contractions(spec, lam, r, x, y)
     c = _basis_matvec(spec, lam, r, x)
     f = _basis_rmatvec(spec, lam, r, y)
@@ -184,22 +184,35 @@ def test_spectral_rule_places_uniform_panels_exactly():
 
 def test_shared_panels_are_the_uniform_panels():
     # all full-width uniform panels of the spectral rule share their offsets
-    # exactly; grids without two such panels, or without a radius beyond the
-    # cut, stay on the tiles
+    # exactly, and each run of them, walked up from the lowest lambda, is
+    # factored from the cut of its first panel; grids without two such
+    # panels, or without a radius beyond any cut, stay on the tiles
     for r_max, lam_max in CONTRACTION_GRIDS:
         lam = spectral_rule(r_max, lam_max)[0]
         r = radial_rule(r_max)[0]
         width = min(2.0 * np.pi / r_max, (lam_max - 0.5) / 4.0)
         shared = spectrum._SharedPanels.find(lam, r)
         assert shared.first.size == int(np.floor((lam_max - 0.5) / width - 1e-9))
-        assert shared.cut == np.searchsorted(r, 4.0 / shared.first[0])
         exact = (shared.first[:, None] + shared.offsets).ravel()
         assert np.array_equal(lam[shared.rows], exact)
+        cuts = shared.cuts
+        assert np.all(np.diff(cuts) <= 0) and cuts[-1] < cuts[0]
+        # no node is factored below lambda r = 4
+        assert np.all(cuts < r.size) and np.all(r[cuts] >= 4.0 / shared.first)
+        own = np.searchsorted(r, 4.0 / shared.first)
+        top = 0
+        while top < cuts.size:
+            n = max(1, spectrum._TILE_PAIRS // (24 * own[top]))
+            run = cuts[top : top + n]
+            assert np.all(run == own[top])
+            if run.size > 1:
+                assert 24 * run.size * run[0] <= spectrum._TILE_PAIRS
+            top += n
     r = radial_rule(10.5)[0]
     lam = spectral_rule(10.5)[0]
     assert spectrum._SharedPanels.find(lam[:-1], r) is None
     assert spectrum._SharedPanels.find(lam[: 14 * 24], r) is None
-    assert spectrum._SharedPanels.find(lam, r[r < 4.0]) is None
+    assert spectrum._SharedPanels.find(lam, r[r < 4.0 / lam.max()]) is None
 
 
 @pytest.mark.parametrize("l,xi,kappa", [(1, 1, 0.8), (2, 2, 0.0), (2, 1, -1.3)])
@@ -230,6 +243,31 @@ def test_panels_one_ulp_off_stay_on_the_tiles(l, xi, kappa):
     assert np.max(np.abs(f - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
 
 
+@pytest.mark.parametrize("tilt", (1.0, -1.0))
+def test_pair_exponentials_match_exp(tilt):
+    # e^{i theta} as h^2 and e^{rho_1 theta} as e^{-sqrt(3) theta / 2} h from
+    # h = e^{i theta / 2}, against numpy's complex exponential of each rate
+    theta = np.linspace(0.0, 200.0, 40001)
+    rho = (1j, complex(-np.sqrt(3.0) / 2.0, tilt / 2.0))
+    bound = 4.0 * np.finfo(float).eps * (1.0 + theta)
+    for rate, got in zip(rho, spectrum._pair_exponentials(theta, tilt)):
+        ref = np.exp(rate * theta)
+        assert np.all(np.abs(got - ref) <= bound * np.abs(ref))
+
+
+@pytest.mark.parametrize("l,xi,kappa", BASIS_CASES)
+def test_pair_rates_are_the_pair_exponentials(l, xi, kappa):
+    # _pair_exponentials assumes rho_0 = i and rho_1 = -sqrt(3)/2 +- i/2, with
+    # the minus sign for l=2, xi=1 only
+    spec = make_extension_spec(l, xi, kappa)
+    rho = spectrum._pair_rates(spec)
+    tilt = -1.0 if (l, xi) == (2, 1) else 1.0
+    assert spectrum._tilt(spec) == tilt
+    want = np.array([1j, complex(-np.sqrt(3.0) / 2.0, tilt / 2.0)])
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(rho) - part(want)) <= 2.0 * np.spacing(np.abs(part(want))))
+
+
 def _closed_form_longdouble(e, r):
     """u^lambda(r) of a continuous eigenfunction with its rates and the
     exponentials in long double, from its float64 amplitudes."""
@@ -247,26 +285,45 @@ def _closed_form_longdouble(e, r):
     return 2 * out.real
 
 
+def _matvec_longdouble(spec, lam, r, x):
+    """U x with each row of U in long double, by _closed_form_longdouble."""
+    xl = x.astype(np.longdouble)
+    return np.array(
+        [float(np.sum(_closed_form_longdouble(continuous_eigenfunction(spec, la), r) * xl)) for la in lam]
+    )
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is double here")
 def test_factored_forward_far_region_long_double():
     # the largest transform input of the benchmark (l=2, xi=2, kappa=0,
-    # base_rate 0.4) on apply_function's default lambda grid, its radii cut to
-    # those beyond the factoring cut, so each shared row of c comes from the
+    # base_rate 0.4) on apply_function's default lambda grid.  With its radii
+    # cut to those beyond every run's cut, each shared row of c comes from the
     # factored sums alone.  This reads 3.4e-15, the tiles 3.8e-15
     spec = make_extension_spec(2, 2, 0.0)
     f = domain_test_function(spec, 1, 0.4)
     lam = spectral_rule(70.6, 16.0)[0]
     r, rw = radial_rule(70.6)
-    shared = spectrum._SharedPanels.find(lam, r)
-    r, rw = r[shared.cut :], rw[shared.cut :]
     x = np.real(eval_radial(f, r)) * rw
-    c = _basis_matvec(spec, lam, r, x)
+    shared = spectrum._SharedPanels.find(lam, r)
+    far = slice(np.max(shared.cuts), None)
+    c = _basis_matvec(spec, lam, r[far], x[far])
     rows = shared.rows[::4]
-    xl = x.astype(np.longdouble)
-    ref = np.array(
-        [float(np.sum(_closed_form_longdouble(continuous_eigenfunction(spec, lam[i]), r) * xl)) for i in rows]
-    )
+    ref = _matvec_longdouble(spec, lam[rows], r[far], x[far])
     assert np.max(np.abs(c[rows] - ref)) <= 5e-15 * np.max(np.abs(ref))
+    # each run's own cut: x zeroed below it, so that run's rows of c come from
+    # the factored sums alone.  The smallest cuts factor nodes down to
+    # lambda r = 4 at r about 0.3, where the tiles' own error grows too
+    for cut in np.unique(shared.cuts):
+        rows = shared.rows[np.repeat(shared.cuts == cut, 24)][::4]
+        xc = np.where(np.arange(r.size) >= cut, x, 0.0)
+        c = _basis_matvec(spec, lam, r, xc)[rows]
+        ref = _matvec_longdouble(spec, lam[rows], r[cut:], xc[cut:])
+        tiles = np.zeros(rows.size)
+        for block, cols, u in _basis_blocks(spec, lam[rows], r):
+            tiles[block] += u @ xc[cols]
+        err = np.max(np.abs(c - ref)) / np.max(np.abs(ref))
+        tile_err = np.max(np.abs(tiles - ref)) / np.max(np.abs(ref))
+        assert err <= max(5e-15, 1.5 * tile_err), (cut, err, tile_err)
 
 
 def test_eigenfunction_terms_vanishing_p_checked_per_row():

@@ -407,21 +407,43 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
     # the factored sums must carry the shared panels: a slip in detecting them
     # falls back to the tiles everywhere, with the same values and no error.
     # Count the (lambda, r) pairs the tiles evaluate on the benchmark's
-    # largest grid (r_max 70.6); about a quarter stay direct
-    pairs = []
+    # largest grid (r_max 70.6), through the pair exponentials and the origin
+    # series; the factors E and D of the factored sums are counted apart and
+    # left out.  About a fifth stay on the tiles in a slot-0 forward, and
+    # about a quarter in its 500-point inverse on (0.05, 30)
+    pairs, factored = [], []
 
-    def counted(fn):
-        def wrapper(r, rows, *rest):
-            pairs.append(rows.shape[0] * r.size)
-            return fn(r, rows, *rest)
+    def exponentials(theta, tilt):
+        pairs.append(theta.size)
+        return pair_exponentials(theta, tilt)
 
-        return wrapper
+    def series(r, coefs):
+        pairs.append(coefs.shape[0] * r.size)
+        return eval_series(r, coefs)
 
-    monkeypatch.setattr(spectrum, "_eval_terms", counted(spectrum._eval_terms))
-    monkeypatch.setattr(spectrum, "_eval_series", counted(spectrum._eval_series))
+    def tiles(self, tilt, r):
+        for cols, e, d in factor_tiles(self, tilt, r):
+            factored.append(e[0].size + d[0].size)
+            yield cols, e, d
+
+    def unused(*args):
+        raise AssertionError("the basis evaluates its pairs with _pair_exponentials")
+
+    pair_exponentials, eval_series = spectrum._pair_exponentials, spectrum._eval_series
+    factor_tiles = spectrum._SharedPanels.tiles
+    monkeypatch.setattr(spectrum, "_pair_exponentials", exponentials)
+    monkeypatch.setattr(spectrum, "_eval_series", series)
+    monkeypatch.setattr(spectrum._SharedPanels, "tiles", tiles)
+    monkeypatch.setattr(spectrum, "_eval_terms", unused, raising=False)
     spec = make_extension_spec(2, 2, 0.0)
     f = domain_test_function(spec, 1, 0.4)
     coeffs = forward(spec, f)
     n_r = radial_rule(transform._default_r_max(f))[0].size
     assert n_r == 1704
-    assert 0 < sum(pairs) <= coeffs.lam_grid.size * n_r / 3
+    assert 0 < sum(factored) < sum(pairs)
+    assert sum(pairs) - sum(factored) <= coeffs.lam_grid.size * n_r / 5
+    pairs.clear()
+    factored.clear()
+    inverse(spec, coeffs, np.linspace(0.05, 30.0, 500))
+    assert 0 < sum(factored) < sum(pairs)
+    assert sum(pairs) - sum(factored) <= coeffs.lam_grid.size * 500 * 3 / 10
