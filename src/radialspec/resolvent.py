@@ -27,10 +27,18 @@ recurrences step by e^{chi_k dr} with |e^{chi_k dr}| <= 1, and kernel forms
 d_k(r_<) g_k(r_>) as P_d(r_<) P_g(r_>) e^{chi_k (r_> - r_<)} from the
 polynomial factors P of D_l e^{+-chi r}.  No growing exponential is ever
 formed, so nothing overflows at large r.
+
+The part of the kernel that depends only on (spec, z) -- the coefficient
+tables, the rates chi_k, the polynomial factors of D_l e^{+-chi_k r} and the
+weights c_k -- is built once per (spec, z) and kept in a small bounded cache,
+so a grid of kernel values at one z pays for it once.  The cached arrays are
+read-only: coefficients_closed_form hands the same alpha, beta and gamma to
+every caller.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +206,23 @@ def _checked_denominator(spec: ExtensionSpec, z: complex):
 def coefficients_closed_form(
     spec: ExtensionSpec, z: complex, allow_boundary: bool = False
 ) -> CoefficientSet:
-    """The (corrected) coefficient tables evaluated at z."""
+    """The (corrected) coefficient tables evaluated at z.
+
+    Raises SectorError outside the sector and PoleError at the resolvent pole.
+    The result is cached per (spec, z, allow_boundary), with z's type part of
+    the key: a complex and an np.complex128 z round z**pw differently.  Its
+    alpha, beta and gamma are shared between callers and read-only.
+    """
+    return _coefficients(spec, z, allow_boundary, _COEFF_INJECTION)
+
+
+# Small on purpose: the reuse that pays is within one grid or apply at one z,
+# and the cache keeps its arrays alive for the life of the process.
+_SETUP_CACHE = 64
+
+
+@functools.lru_cache(maxsize=_SETUP_CACHE, typed=True)
+def _coefficients(spec: ExtensionSpec, z, allow_boundary: bool, injection) -> CoefficientSet:
     validate_sector(z, allow_boundary)
     p = _checked_denominator(spec, z)
     pw = KAPPA_POWER[(spec.xi, spec.l)]
@@ -208,9 +232,11 @@ def coefficients_closed_form(
     for k in range(3):
         for name, (az, ak) in zip(("alpha", "beta", "gamma"), CLOSED_TABLE[(spec.xi, spec.l)][k]):
             val = (az * zp + ak * kp) / p
-            if _COEFF_INJECTION == ((spec.xi, spec.l), k, name):
+            if injection == ((spec.xi, spec.l), k, name):
                 val = -val
             out[name][k] = val
+    for values in out.values():
+        values.setflags(write=False)
     return CoefficientSet(out["alpha"], out["beta"], out["gamma"], p)
 
 
@@ -257,12 +283,32 @@ class KernelValue:
     R2: complex
     Rg: complex
 
+    @property
+    def cancellation(self):
+        """(|R0| + |R1| + |R2| + |Rg|) / |total|, elementwise for arrays.
 
-def _kernel_weights(l: int, z: complex) -> np.ndarray:
-    """c_k = e^{2 pi i k/3} / (3 z^4 W_k), the weight of g_k(r_>) h_k(r_<) in R."""
-    return np.array(
+        The parts are summed in double precision, so the relative error of
+        total is about eps times this factor.  It is near 1 where nothing
+        cancels, and 9e10 at r = s = 0.1 for l = 2, xi = 1, kappa = 0.3,
+        where total keeps about 5 digits.
+        """
+        return (abs(self.R0) + abs(self.R1) + abs(self.R2) + abs(self.Rg)) / abs(self.total)
+
+
+@functools.lru_cache(maxsize=_SETUP_CACHE, typed=True)
+def _kernel_rates(l: int, z):
+    """(chi, p, c), read-only: the rates chi_k of g_k, the polynomial factors
+    p of D_l e^{chi_k x} (rows 0..2) and D_l e^{-chi_k x} (rows 3..5), and the
+    weights c_k = e^{2 pi i k/3} / (3 z^4 W_k) of g_k(r_>) h_k(r_<) in R.
+    The caller validates z."""
+    chi = np.array([g_rate(z, k) for k in range(3)])
+    p = exponential_poly(l, np.concatenate((chi, -chi)))
+    ck = np.array(
         [_phase(2 * k / 3) / (3.0 * z**4 * wronskian(l, z, k)) for k in range(3)]
     )
+    for values in (chi, p, ck):
+        values.setflags(write=False)
+    return chi, p, ck
 
 
 def kernel(
@@ -273,23 +319,21 @@ def kernel(
     P_d(r_<) P_g(r_>) e^{chi_k (r_> - r_<)} so that nothing overflows."""
     r = np.asarray(r, np.float64)
     s = np.asarray(s, np.float64)
-    if not (np.all(np.isfinite(r) & (r > 0)) and np.all(np.isfinite(s) & (s > 0))):
-        raise DomainError("kernel requires finite r, s > 0")
-    validate_sector(z, allow_boundary)
-    c = coefficients_closed_form(spec, z, allow_boundary)
     lo, hi = np.minimum(r, s), np.maximum(r, s)
+    # NaN propagates through both, so this rejects NaN, +-inf and r, s <= 0
+    if not ((lo > 0).all() and np.isfinite(hi).all()):
+        raise DomainError("kernel requires finite r, s > 0")
+    c = coefficients_closed_form(spec, z, allow_boundary)
+    chi, p, ck = _kernel_rates(spec.l, z)
     col = (3,) + (1,) * lo.ndim
-    chi = np.array([g_rate(z, k) for k in range(3)])
-    # polynomial factors of D_l e^{chi_m x} (rows 0..2) and D_l e^{-chi_m x}
-    # (rows 3..5) at x = r_< (column 0) and x = r_> (column 1)
-    p = exponential_poly(spec.l, np.concatenate((chi, -chi)))
+    # polynomial factors at x = r_< (column 0) and x = r_> (column 1)
     p = p.reshape(p.shape + (1,) * (lo.ndim + 1))
     inv = 1.0 / np.array((lo, hi))
     q = p[:, -1]
     for j in range(spec.l - 1, -1, -1):
         q = q * inv + p[:, j]
     chi = chi.reshape(col)
-    ck = _kernel_weights(spec.l, z).reshape(col)
+    ck = ck.reshape(col)
     # R_k and the k-th term of Rg share the bounded factor
     # c_k P_g(r_>) e^{chi_k (r_> - r_<)}; Rg's g_k(r_>) is that factor times
     # e^{chi_k r_<}, so six exponentials serve every part
@@ -349,8 +393,9 @@ def apply_resolvent(
         raise DomainError("apply_resolvent requires finite r > 0")
     if not (np.isfinite(points_per_unit) and points_per_unit > 0):
         raise InvalidInput("points_per_unit must be finite and positive")
+    chis, _, weights = _kernel_rates(spec.l, z)
     if r_max is None:
-        r_max = 40.0 / min(-np.real(g_rate(z, k)) for k in range(3))
+        r_max = 40.0 / np.min(-chis.real)
     q, where = np.unique(rr.ravel(), return_inverse=True)
     if q.size == 0:
         return np.zeros(rr.shape, np.complex128)
@@ -370,8 +415,7 @@ def apply_resolvent(
     x_in, fw_in, right = x[: starts[m]], fw[: starts[m]], np.repeat(q, counts[:m])
     x_out, fw_out, left = x[starts[1] :], fw[starts[1] :], np.repeat(q, counts[1:])
     u = np.zeros(m, np.complex128)
-    for k, ck in enumerate(_kernel_weights(spec.l, z)):
-        chi = g_rate(z, k)
+    for k, (chi, ck) in enumerate(zip(chis, weights)):
         gk = basis_g(spec.l, z, k, allow_boundary)
         hk = h_solution(spec, z, k, allow_boundary)
         s_in = np.add.reduceat(

@@ -297,7 +297,7 @@ def test_apply_resolvent_large_r_is_finite():
 
 def _mp_kernel(spec, z, r, s):
     """The closed form of kernel() in 50-digit arithmetic, unscaled."""
-    mp = pytest.importorskip("mpmath")
+    import mpmath as mp
     c = coefficients_closed_form(spec, z)
     with mp.workdps(50):
         lo, hi = mp.mpf(min(r, s)), mp.mpf(max(r, s))
@@ -375,3 +375,125 @@ def test_apply_resolvent_rejects_bad_input(kwargs, error):
     with pytest.raises(error):
         apply_resolvent(spec, np.exp(0.3j), lambda s: calls.append(s) or np.exp(-s), **args)
     assert calls == []
+
+
+# ------------------------------------ cancellation factor and the (spec, z) set-up
+
+CANCELLATION_CASES = [(2, 1, 0.3), (2, 1, 1.2), (2, 2, "inf"), (1, 1, 0.7), (1, 2, -0.8), (2, 2, 0.5)]
+CANCELLATION_POINTS = [(0.1, 0.1), (0.2, 0.25), (0.5, 0.6), (1.0, 2.0), (3.0, 5.0)]
+
+
+@pytest.mark.parametrize("l,xi,kappa", CANCELLATION_CASES)
+def test_kernel_cancellation_bounds_the_error(l, xi, kappa):
+    spec = make_extension_spec(l, xi, kappa)
+    eps = np.finfo(np.float64).eps
+    for r, s in CANCELLATION_POINTS:
+        kv = kernel(spec, Z_APPLY, r, s)
+        ref = _mp_kernel(spec, Z_APPLY, r, s)
+        assert abs(kv.total - ref) <= 2 * eps * kv.cancellation * abs(ref)
+    assert kernel(spec, Z_APPLY, 3.0, 5.0).cancellation < 2
+
+
+def test_kernel_cancellation_flags_the_origin_elementwise():
+    spec = make_extension_spec(2, 1, 0.3)
+    near = kernel(spec, Z_APPLY, 0.1, 0.1).cancellation
+    far = kernel(spec, Z_APPLY, 3.0, 5.0).cancellation
+    assert near > 1e10
+    both = kernel(spec, Z_APPLY, np.array([0.1, 3.0]), np.array([0.1, 5.0])).cancellation
+    assert both.shape == (2,)
+    assert both == pytest.approx([near, far], rel=1e-15)
+
+
+def _setup_caches():
+    from radialspec.resolvent import _coefficients, _kernel_rates
+
+    return _coefficients, _kernel_rates
+
+
+def test_setup_caches_are_bounded():
+    for cache in _setup_caches():
+        assert 0 < cache.cache_info().maxsize <= 64
+
+
+def test_kernel_grid_builds_the_setup_once():
+    spec = make_extension_spec(2, 2, 0.5)
+    z = 1.05 * np.exp(0.45j)
+    before = [cache.cache_info().misses for cache in _setup_caches()]
+    grid = np.linspace(0.2, 4.0, 20)
+    for r in grid:
+        for s in grid:
+            kernel(spec, z, float(r), float(s))
+    after = [cache.cache_info().misses for cache in _setup_caches()]
+    assert [b - a for a, b in zip(before, after)] == [1, 1]
+
+
+def _setup_values(spec, z):
+    """Bytes of everything built from the (spec, z) set-up."""
+    f = _real_test_function(spec)
+    r = np.array([0.3, 1.1, 2.5])
+    c = coefficients_closed_form(spec, z)
+    grid = kernel(spec, z, r[:, None], r[None, :])
+    one = kernel(spec, z, 0.7, 1.9)
+    return [
+        c.alpha.tobytes(), c.beta.tobytes(), c.gamma.tobytes(), complex(c.p),
+        *(getattr(grid, name).tobytes() for name in ("total", "R0", "R1", "R2", "Rg")),
+        one.total, one.R0, one.R1, one.R2, one.Rg,
+        apply_resolvent(spec, z, f, r).tobytes(),
+    ]
+
+
+def _cold_values(spec, z):
+    for cache in _setup_caches():
+        cache.cache_clear()
+    return _setup_values(spec, z)
+
+
+def test_cached_setup_equals_a_cold_build_per_z_type():
+    spec = make_extension_spec(2, 1, -0.6)
+    z = 0.95 * np.exp(0.7j)
+    cold = {t: _cold_values(spec, t(z)) for t in (complex, np.complex128)}
+    # the two types round z**pw differently, so they must not share an entry
+    assert cold[complex] != cold[np.complex128]
+    _cold_values(spec, complex(z))
+    for t in (complex, np.complex128, complex):
+        assert _setup_values(spec, t(z)) == cold[t]
+
+
+def test_setup_errors_are_raised_on_every_call():
+    spec = make_extension_spec(1, 1, -1.0)
+    zp = pole_location(spec)
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            coefficients_closed_form(spec, zp)
+        with pytest.raises(PoleError):
+            kernel(spec, zp, 1.0, 2.0)
+        with pytest.raises(SectorError):
+            kernel(spec, 1j, 1.0, 2.0)
+        with pytest.raises(DomainError):
+            kernel(spec, np.exp(0.3j), 0.0, 1.0)
+
+
+def test_coefficient_injection_reaches_a_warm_cache():
+    from radialspec.resolvent import set_coefficient_injection
+
+    spec = make_extension_spec(2, 1, 0.8)
+    z = 0.85 * np.exp(0.5j)
+    clean = coefficients_closed_form(spec, z), kernel(spec, z, 0.7, 1.9)
+    set_coefficient_injection(((spec.xi, spec.l), 0, "alpha"))
+    try:
+        flipped = coefficients_closed_form(spec, z), kernel(spec, z, 0.7, 1.9)
+    finally:
+        set_coefficient_injection(None)
+    assert flipped[0].alpha[0] == -clean[0].alpha[0]
+    assert flipped[0].beta.tobytes() == clean[0].beta.tobytes()
+    assert flipped[1].total != clean[1].total
+    restored = coefficients_closed_form(spec, z), kernel(spec, z, 0.7, 1.9)
+    assert restored[0].alpha.tobytes() == clean[0].alpha.tobytes()
+    assert restored[1] == clean[1]
+
+
+def test_cached_coefficients_are_read_only():
+    c = coefficients_closed_form(make_extension_spec(1, 2, 0.4), np.exp(0.3j))
+    for values in (c.alpha, c.beta, c.gamma):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
