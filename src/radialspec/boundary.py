@@ -28,13 +28,12 @@ from math import factorial
 
 import numpy as np
 
-from .core import ExtensionSpec, Jet6
+from .core import KAPPA_POWER, ExtensionSpec, Jet6
 from .errors import InvalidInput
 from .rayleigh import monomial_coefficient
 
-# Raw-jet ratio factors, keyed by (xi, l); the (2,2) family uses kappa^5.
-JET_RATIO_FACTOR = {(1, 1): 9.0 / 8.0, (1, 2): 8.0 / 5.0, (2, 1): 9.0 / 8.0}
-JET_RATIO_FACTOR_22 = -8.0 / 7.0
+# Raw-jet ratio factors, keyed by (xi, l), of kappa^KAPPA_POWER.
+JET_RATIO_FACTOR = {(1, 1): 9.0 / 8.0, (1, 2): 8.0 / 5.0, (2, 1): 9.0 / 8.0, (2, 2): -8.0 / 7.0}
 
 
 def omega(ju: Jet6, jv: Jet6, k: int, j: int) -> complex:
@@ -88,15 +87,13 @@ def _kappa_combination(spec: ExtensionSpec, lo, hi):
     """Normalized residual of the kappa condition, projective in kappa.
 
     lo and hi are the jet entries (or amplitude rows) entering as
-    factor * kappa^p * lo - hi; kappa = inf degenerates to lo = 0.
+    JET_RATIO_FACTOR * kappa^KAPPA_POWER * lo - hi; kappa = inf degenerates
+    to lo = 0.
     """
-    num, den = spec.kappa.num, spec.kappa.den
-    if spec.l == 2 and spec.xi == 2:
-        a = JET_RATIO_FACTOR_22 * num**5
-        b = den**5
-    else:
-        a = JET_RATIO_FACTOR[(spec.xi, spec.l)] * num
-        b = den
+    family = (spec.xi, spec.l)
+    pw = KAPPA_POWER[family]
+    a = JET_RATIO_FACTOR[family] * spec.kappa.num**pw
+    b = spec.kappa.den**pw
     scale = max(abs(a), abs(b))
     return (a * lo - b * hi) / scale
 

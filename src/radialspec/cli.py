@@ -2,7 +2,8 @@
 
 Subcommands: eigfun, resolvent, verify, transform, spectrum.  Data goes to
 CSV (header row, 17 significant digits, LF) or JSON (array of flat row
-objects); diagnostics go to stderr.  Exit codes: 0 success, 1 verification
+objects); diagnostics go to stderr.  verify prints PASS/FAIL lines unless
+--format asks for CSV or JSON on stdout.  Exit codes: 0 success, 1 verification
 failure, 2 invalid specification or input, 3 output I/O failure, 4 resolvent
 pole, 5 quadrature or function-domain failure.
 """
@@ -59,6 +60,11 @@ def write_rows(path: str, fmt: str, header, rows):
         text = json.dumps(
             [dict(zip(header, (float(v) for v in row))) for row in rows], indent=None
         ) + "\n"
+    _emit(path, text)
+
+
+def _emit(path: str, text: str):
+    """Write text to path, '-' for stdout."""
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -137,29 +143,36 @@ def cmd_resolvent(args) -> int:
     return EXIT_OK
 
 
+def _format_results(fmt: str, results) -> str:
+    """Verify results as PASS/FAIL lines (fmt "text"), CSV or JSON."""
+    if fmt == "text":
+        lines = []
+        for res in results:
+            status = "PASS" if res.passed else "FAIL"
+            line = f"{status} [{res.suite}] {res.name}: {res.measured:.3e} <= {res.threshold:.1e}"
+            if res.detail:
+                line += f"  ({res.detail})"
+            lines.append(line + "\n")
+        return "".join(lines)
+    if fmt == "csv":
+        lines = [",".join(("suite", "name", "passed", "measured", "threshold", "detail"))]
+        for r in results:
+            detail = r.detail.replace(",", ";")
+            lines.append(
+                f"{r.suite},{r.name.replace(',', ';')},{int(r.passed)},{_fmt(r.measured)},{_fmt(r.threshold)},{detail}"
+            )
+        return "\n".join(lines) + "\n"
+    return json.dumps([r.__dict__ for r in results]) + "\n"
+
+
 def cmd_verify(args) -> int:
     names = args.only.split(",") if args.only else None
     results = run_suites(names, seed=args.seed)
-    header = ("suite", "name", "passed", "measured", "threshold", "detail")
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        line = f"{status} [{res.suite}] {res.name}: {res.measured:.3e} <= {res.threshold:.1e}"
-        if res.detail:
-            line += f"  ({res.detail})"
-        print(line)
-    if args.output != "-":
-        if args.format == "csv":
-            lines = [",".join(header)]
-            for r in results:
-                detail = r.detail.replace(",", ";")
-                lines.append(
-                    f"{r.suite},{r.name.replace(',', ';')},{int(r.passed)},{_fmt(r.measured)},{_fmt(r.threshold)},{detail}"
-                )
-            text = "\n".join(lines) + "\n"
-        else:
-            text = json.dumps([r.__dict__ for r in results]) + "\n"
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+    if args.output == "-":
+        _emit("-", _format_results(args.format or "text", results))
+    else:
+        sys.stdout.write(_format_results("text", results))
+        _emit(args.output, _format_results(args.format or "csv", results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
@@ -178,7 +191,7 @@ def cmd_transform(args) -> int:
         rows = list(zip(coeffs.lam_grid, coeffs.c))
         write_rows(args.output, args.format, ("lambda", "c"), rows)
         if coeffs.c_discrete is not None:
-            print(f"c_discrete = {_fmt(coeffs.c_discrete)}")
+            print(f"c_discrete = {_fmt(coeffs.c_discrete)}", file=sys.stderr)
     elif args.mode == "roundtrip":
         coeffs, defect = _forward_with_defect(spec, f)
         if isinstance(f, SampledFunction):
@@ -195,21 +208,17 @@ def cmd_transform(args) -> int:
             ("r", "f", "reconstruction"),
             zip(grid, ref, rec.values),
         )
-        print(f"roundtrip relative l2 error = {err:.3e}")
-        print(f"parseval defect = {defect:.3e}")
+        print(f"roundtrip relative l2 error = {err:.3e}", file=sys.stderr)
+        print(f"parseval defect = {defect:.3e}", file=sys.stderr)
     else:
-        phi_name = args.phi
-        if phi_name == "identity":
+        if args.phi == "identity":
             phi = lambda x: x
-        elif phi_name == "sqrt":
+        elif args.phi == "sqrt":
             phi = np.sqrt
-        elif phi_name == "resolvent":
+        else:
             z = complex(args.z_re, args.z_im)
             validate_sector(z)
             phi = lambda x: 1.0 / (x - z**6)
-        else:
-            print(f"error: unknown phi {phi_name!r}", file=sys.stderr)
-            return EXIT_INVALID
         out = apply_function(spec, phi, f)
         write_rows(args.output, args.format, ("r", "phi_T_f"), zip(out.grid, np.real(out.values)))
     return EXIT_OK
@@ -220,14 +229,14 @@ def cmd_spectrum(args) -> int:
     r = _r_grid(args)
     b = bound_state(spec)
     if b is None:
-        print("no bound state")
+        print("no bound state", file=sys.stderr)
         write_rows(args.output, args.format, ("r", "v"), [])
         return EXIT_OK
     decay = -2.0 * float(np.max(np.real(b.v.base.rates)))
     norm2 = quad_semiaxis(lambda r: np.abs(eval_radial(b.v, r)) ** 2, decay, 1e-11)
-    print(f"z_p = {_fmt(b.z_p.real)} + {_fmt(b.z_p.imag)}i")
-    print(f"energy = {_fmt(b.energy)}")
-    print(f"norm = {np.sqrt(float(np.real(norm2))):.8f}")
+    print(f"z_p = {_fmt(b.z_p.real)} + {_fmt(b.z_p.imag)}i", file=sys.stderr)
+    print(f"energy = {_fmt(b.energy)}", file=sys.stderr)
+    print(f"norm = {np.sqrt(float(np.real(norm2))):.8f}", file=sys.stderr)
     v = np.real(eval_radial(b.v, r))
     write_rows(args.output, args.format, ("r", "v"), zip(r, v))
     return EXIT_OK
@@ -265,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="comma-separated suite names (%s)" % ", ".join(SUITES))
     p.add_argument("--seed", type=int, default=0)
     _add_output_args(p)
-    p.set_defaults(func=cmd_verify)
+    # without --format: PASS/FAIL lines on stdout, CSV with --output
+    p.set_defaults(func=cmd_verify, format=None)
 
     p = sub.add_parser("transform", help="spectral transform and functional calculus")
     _add_spec_args(p)

@@ -17,6 +17,10 @@ from .errors import InvalidInput, InvalidSpec
 VALID_L = (1, 2)
 VALID_XI = (1, 2)
 
+# Power of kappa in each family's closed forms, keyed by (xi, l): in the
+# boundary condition kappa parametrizes and in the resolvent denominator p(z).
+KAPPA_POWER = {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 5}
+
 # Tolerances fixed at construction time.
 RATE_MERGE_RTOL = 1e-14
 REGULARITY_TOL = 1e-12

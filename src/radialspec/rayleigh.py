@@ -54,12 +54,10 @@ def exponential_poly(l: int, chi) -> np.ndarray:
         cols = (chi * chi, -3.0 * chi, 3.0)
     else:
         raise InvalidSpec(f"l={l} not supported")
-    if isinstance(chi, np.ndarray) and chi.ndim:
-        out = np.empty(chi.shape + (len(cols),), np.complex128)
-        for j, c in enumerate(cols):
-            out[..., j] = c
-        return out
-    return np.array(cols, np.complex128)
+    out = np.empty(np.shape(chi) + (len(cols),), np.complex128)
+    for j, c in enumerate(cols):
+        out[..., j] = c
+    return out
 
 
 def dl_exponential(l: int, chi: complex, r) -> complex:
@@ -67,13 +65,8 @@ def dl_exponential(l: int, chi: complex, r) -> complex:
     r = np.asarray(r, np.float64)
     if np.any(r <= 0.0):
         raise DomainError("dl_exponential requires r > 0")
-    p = exponential_poly(l, chi)
-    inv = 1.0 / r
-    q = np.full_like(r, p[-1], dtype=np.complex128)
-    for j in range(len(p) - 2, -1, -1):
-        q = q * inv + p[j]
-    out = q * np.exp(chi * r)
-    return complex(out) if out.ndim == 0 else out
+    polys = exponential_poly(l, chi)[None]
+    return _shaped_like(r, _eval_terms(r.ravel(), np.array([chi]), polys))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import condition_rows
-from .core import ExponentialSum, ExtensionSpec, RadialFunction, _phase
+from .core import KAPPA_POWER, ExponentialSum, ExtensionSpec, RadialFunction, _phase
 from .errors import (
     DomainError,
     InternalInconsistency,
@@ -56,10 +56,7 @@ from .quadrature import panel_rule
 from .rayleigh import _eval_split, derivative, eval_radial, exponential_poly
 
 
-# Power of z and kappa in the coefficient numerators and denominator p.
-KAPPA_POWER = {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 5}
-
-# p(z) = az * z^pw + ak * kappa^pw, keyed by (xi, l).
+# p(z) = az * z^pw + ak * kappa^pw, keyed by (xi, l), with pw = KAPPA_POWER.
 P_TERMS = {
     (1, 1): (3.0, 2.0 * _phase(1 / 6)),
     (1, 2): (2.0, 3.0 * _phase(1 / 6)),

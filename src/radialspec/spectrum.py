@@ -10,7 +10,8 @@ The closed forms here were reconciled against the resolvent-difference
 identity (the defining property of the density); in particular the fourth
 amplitude of the xi=2 eigenfunctions is the conjugate partner of the third,
 and the phase branch is e^{i phi} = p(lambda)/|p(lambda)| taken continuously,
-not a square root of p/conj(p).
+not a square root of p/conj(p), with p the resolvent denominator that
+resolvent._denominator states for every family.
 
 On a lambda grid and an r grid the continuous basis U[i, j] = u^{lambda_i}(r_j)
 comes in memory-bounded tiles (_basis_blocks), and the transform's two
@@ -48,7 +49,7 @@ from .rayleigh import (
     exponential_poly,
     t3_termwise,
 )
-from .resolvent import POLE_SCALE, kernel, pole_location
+from .resolvent import POLE_SCALE, _denominator, kernel, pole_location
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 # fixed scan used only to pick the overall sign of an eigenfunction
@@ -57,7 +58,9 @@ _SIGN_SCAN = np.linspace(0.25, 6.0, 24)
 # fewest lambda rows, which share their set-up (terms, series, sign)
 _BLOCK_BYTES = 1 << 19
 _MIN_ROWS = 16
-# -Re rho_1 of the closed-form pair (see _pair_exponentials)
+# rho_1 of the closed-form pair, up to conjugation (see _rho1), and the
+# -Re rho_1 that _pair_exponentials takes, which is one ulp below -Re _RHO1
+_RHO1 = -_phase(-1 / 6)
 _HALF_SQRT3 = np.sqrt(3.0) / 2.0
 
 
@@ -118,50 +121,42 @@ def _eigenfunction_terms(spec: ExtensionSpec, lam):
 
     Written elementwise in lambda: a float gives a scalar prefactor and p and
     four amplitudes and rates; an array of n lambdas gives shapes (n,), (n, 4),
-    (n, 4) and (n,).  Terms (0, 1) and (2, 3) of prefactor * amplitudes are
-    complex-conjugate pairs with conjugate rates, which makes u real.
+    (n, 4) and (n,).  p is the resolvent denominator on the cut, and the
+    phase e^{i phi} = p / |p|.  Terms (0, 1) and (2, 3) of prefactor *
+    amplitudes are complex-conjugate pairs with the conjugate rates
+    (i lambda, -i lambda) and (rho_1 lambda, conj(rho_1) lambda), which makes
+    u real.
     """
     num, den = spec.kappa.num, spec.kappa.den
-    xi, l = spec.xi, spec.l
-    if (xi, l) == (1, 1):
-        p = 3.0 * lam * den + 2.0 * _phase(1 / 6) * num
-        eiphi = p / abs(p)
-        amps = [
-            1.0 / eiphi,
-            -eiphi,
-            (2.0 * num / abs(p)) * _phase(1 / 6),
-            -(2.0 * num / abs(p)) * _phase(-1 / 6),
-        ]
-        rates = [1j * lam, -1j * lam, -_phase(-1 / 6) * lam, -_phase(1 / 6) * lam]
+    family = (spec.xi, spec.l)
+    p, scale = _denominator(spec, lam)
+    size = abs(p)
+    if np.any(size <= 1e-13 * scale):
+        raise InternalInconsistency("p(lambda) vanished for real kappa")
+    eiphi = p / size
+    if family == (1, 1):
+        w = 2.0 * num / size
+        amps = [1.0 / eiphi, -eiphi, w * _phase(1 / 6), -w * _phase(-1 / 6)]
         pref = 1j / (_SQRT2PI * lam)
-    elif (xi, l) == (1, 2):
-        p = 2.0 * lam * den + 3.0 * _phase(1 / 6) * num
-        eiphi = p / abs(p)
+    elif family == (1, 2):
+        w = 2.0 * lam * den / size
         amps = [
             _phase(1 / 6) / eiphi,
             -_phase(-1 / 6) * eiphi,
-            (2.0 * lam * den / abs(p)) * _phase(-1 / 6),
-            -(2.0 * lam * den / abs(p)) * _phase(1 / 6),
+            w * _phase(-1 / 6),
+            -w * _phase(1 / 6),
         ]
-        rates = [1j * lam, -1j * lam, -_phase(1 / 6) * lam, -_phase(-1 / 6) * lam]
         pref = 1j / (_SQRT2PI * lam**2)
-    elif (xi, l) == (2, 1):
-        p = lam * den + 2.0 * _phase(1 / 6) * num
-        eiphi = p / abs(p)
-        c3 = -2.0 * (num + _phase(1 / 6) * lam * den) * _phase(1 / 6) / abs(p)
+    elif family == (2, 1):
+        c3 = -2.0 * (num + _phase(1 / 6) * lam * den) * _phase(1 / 6) / size
         amps = [1.0 / eiphi, eiphi, c3, np.conj(c3)]
-        rates = [1j * lam, -1j * lam, -_phase(-1 / 6) * lam, -_phase(1 / 6) * lam]
         pref = 1.0 / (_SQRT2PI * lam)
     else:
-        n5, d5 = num**5, den**5
-        p = lam**5 * d5 + 2.0 * _phase(5 / 6) * n5
-        if np.any(abs(p) <= 1e-13 * (abs(lam**5 * d5) + 2.0 * abs(n5))):
-            raise InternalInconsistency("p(lambda) vanished for real kappa")
-        eiphi = p / abs(p)
-        c3 = -2.0 * (lam**5 * d5 - _phase(1 / 6) * n5) / abs(p)
+        c3 = -2.0 * (lam**5 * den**5 - _phase(1 / 6) * num**5) / size
         amps = [1.0 / eiphi, -eiphi, c3, -np.conj(c3)]
-        rates = [1j * lam, -1j * lam, -_phase(-1 / 6) * lam, -_phase(1 / 6) * lam]
         pref = 1j / (_SQRT2PI * lam**2)
+    rho = _rho1(spec)
+    rates = [1j * lam, -1j * lam, rho * lam, rho.conjugate() * lam]
     return pref, np.stack(amps, axis=-1), np.stack(rates, axis=-1), p
 
 
@@ -197,14 +192,15 @@ def _pair_exponentials(theta, tilt):
     return np.multiply(h, h, out=h), decaying
 
 
-def _pair_rates(spec: ExtensionSpec) -> np.ndarray:
-    """rho_k: the rates of closed-form terms 0 and 2 are rho_k lambda."""
-    return _eigenfunction_terms(spec, 1.0)[2][::2]
+def _rho1(spec: ExtensionSpec) -> complex:
+    """rho_1 = -e^{-i pi/6}, conjugated for xi=1, l=2: the rate of closed-form
+    term 2 is rho_1 lambda."""
+    return _RHO1.conjugate() if (spec.xi, spec.l) == (1, 2) else _RHO1
 
 
 def _tilt(spec: ExtensionSpec) -> float:
     """The sign of Im rho_1, which _pair_exponentials takes as its tilt."""
-    return float(np.sign(_pair_rates(spec)[1].imag))
+    return float(np.sign(_rho1(spec).imag))
 
 
 def _split_rows(r, radii, lam, tilt, polys, coefs):
@@ -306,10 +302,9 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
 #
 #   A_kb(lambda) r^-b e^{rho_k lambda r} = A_kb(lambda) r^-b e^{rho_k a_p r} e^{rho_k delta_j r}
 #
-# with rho_0 = i and rho_1 = -e^{-+i pi/6} (terms 0 and 2 of
-# _eigenfunction_terms at lambda = 1) and A_kb the signed amplitude times the
-# D_l polynomial coefficient of r^-b, b = 0..l.  So on the columns
-# r >= _FACTOR_CUT / (the panel's smallest node) a contraction with the basis
+# with rho_0 = i and rho_1 = -e^{-+i pi/6} (_rho1) and A_kb the signed
+# amplitude times the D_l polynomial coefficient of r^-b, b = 0..l.  So on the
+# columns r >= _FACTOR_CUT / (the panel's smallest node) a contraction with the basis
 # is, per (k, b), one matrix product over r between the panel factors
 # E_k[p, r] = e^{rho_k a_p r} and the shared factors
 # D_k[j, r] r^-b = e^{rho_k delta_j r} r^-b: it takes (panels + 24) n_r

@@ -174,6 +174,31 @@ def test_verify_only_wronskian(capsys):
     assert all(l.startswith("PASS [wronskian]") for l in lines)
 
 
+def test_verify_format_json_on_stdout(capsys):
+    code, out, _ = run(capsys, "verify", "--only", "wronskian", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert rows and all(r["suite"] == "wronskian" and r["passed"] for r in rows)
+
+
+def test_verify_format_csv_on_stdout(capsys):
+    code, out, _ = run(capsys, "verify", "--only", "wronskian", "--format", "csv")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "suite,name,passed,measured,threshold,detail"
+    assert len(lines) > 1 and all(l.startswith("wronskian,") for l in lines[1:])
+
+
+def test_verify_output_file_keeps_text_on_stdout(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    code, out, _ = run(
+        capsys, "verify", "--only", "wronskian", "--format", "json", "--output", str(path)
+    )
+    assert code == 0
+    assert out.startswith("PASS [wronskian]")
+    assert len(json.loads(path.read_text())) == len(out.strip().split("\n"))
+
+
 def test_verify_injected_error_detected(capsys):
     # flip the sign of the (xi, l) = (1, 1), k = 2 alpha coefficient
     resolvent.set_coefficient_injection(((1, 1), 2, "alpha"))
@@ -189,35 +214,46 @@ def test_verify_injected_error_detected(capsys):
 
 
 def test_spectrum_with_bound_state(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "spectrum", "--l", "1", "--xi", "2", "--kappa", "-1.0",
         "--n-points", "3",
     )
     assert code == 0
-    assert "z_p = " in out and "energy = -64" in out
-    norm = float(out.split("norm = ")[1].split("\n")[0])
+    assert "z_p = " in err and "energy = -64" in err
+    norm = float(err.split("norm = ")[1].split("\n")[0])
     assert abs(norm - 1.0) < 1e-6
+    assert out.split("\n")[0] == "r,v" and len(out.strip().split("\n")) == 4
+
+
+def test_spectrum_json_stdout(capsys):
+    code, out, err = run(
+        capsys, "spectrum", "--l", "2", "--xi", "2", "--kappa", "-1.0",
+        "--n-points", "3", "--format", "json",
+    )
+    assert code == 0
+    assert len(json.loads(out)) == 3 and "energy = " in err
 
 
 def test_spectrum_without_bound_state(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "spectrum", "--l", "1", "--xi", "1", "--kappa", "2.0",
         "--n-points", "3",
     )
     assert code == 0
-    assert "no bound state" in out
+    assert "no bound state" in err
+    assert out == "r,v\n"
 
 
 def test_transform_roundtrip_builtin(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys,
         "transform", "--l", "1", "--xi", "1", "--kappa", "0.7",
         "--mode", "roundtrip", "--output", "/dev/null",
     )
-    assert code == 0
-    err_line = [l for l in out.split("\n") if "roundtrip" in l][0]
+    assert code == 0 and out == ""
+    err_line = [l for l in err.split("\n") if "roundtrip" in l][0]
     assert float(err_line.split("=")[1]) < 1e-3
-    defect_line = [l for l in out.split("\n") if "parseval" in l][0]
+    defect_line = [l for l in err.split("\n") if "parseval" in l][0]
     assert float(defect_line.split("=")[1]) < 1e-3
 
 
@@ -232,7 +268,7 @@ def test_transform_roundtrip_projects_once(capsys, monkeypatch):
         return project(*args)
 
     monkeypatch.setattr(transform, "_project", counted)
-    code, out, _ = run(
+    code, _, err = run(
         capsys,
         "transform", "--l", "2", "--xi", "2", "--kappa", "-1.0",
         "--mode", "roundtrip", "--output", "/dev/null",
@@ -243,9 +279,23 @@ def test_transform_roundtrip_projects_once(capsys, monkeypatch):
     f = domain_test_function(spec, 0)
     coeffs, defect = transform._forward_with_defect(spec, f)
     assert defect == parseval_check(spec, f)
-    assert f"parseval defect = {defect:.3e}" in out
+    assert f"parseval defect = {defect:.3e}" in err
     ref = transform.forward(spec, f)
     assert np.array_equal(coeffs.c, ref.c) and coeffs.c_discrete == ref.c_discrete
+
+
+def test_transform_forward_json_stdout(capsys):
+    # the bound state's coefficient is a diagnostic on stderr, so stdout
+    # holds the JSON array alone
+    code, out, err = run(
+        capsys,
+        "transform", "--l", "1", "--xi", "2", "--kappa", "-1",
+        "--mode", "forward", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert rows and set(rows[0]) == {"lambda", "c"}
+    assert err.startswith("c_discrete = ")
 
 
 def test_transform_csv_input_roundtrip(tmp_path, capsys):

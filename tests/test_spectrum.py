@@ -257,10 +257,11 @@ def test_pair_exponentials_match_exp(tilt):
 
 @pytest.mark.parametrize("l,xi,kappa", BASIS_CASES)
 def test_pair_rates_are_the_pair_exponentials(l, xi, kappa):
-    # _pair_exponentials assumes rho_0 = i and rho_1 = -sqrt(3)/2 +- i/2, with
-    # the minus sign for l=2, xi=1 only
+    # _pair_exponentials assumes that closed-form terms 0 and 2 have the rates
+    # rho_0 = i and rho_1 = -sqrt(3)/2 +- i/2 at lambda = 1, with the minus
+    # sign for l=2, xi=1 only
     spec = make_extension_spec(l, xi, kappa)
-    rho = spectrum._pair_rates(spec)
+    rho = _eigenfunction_terms(spec, 1.0)[2][::2]
     tilt = -1.0 if (l, xi) == (2, 1) else 1.0
     assert spectrum._tilt(spec) == tilt
     want = np.array([1j, complex(-np.sqrt(3.0) / 2.0, tilt / 2.0)])
@@ -326,11 +327,24 @@ def test_factored_forward_far_region_long_double():
         assert err <= max(5e-15, 1.5 * tile_err), (cut, err, tile_err)
 
 
-def test_eigenfunction_terms_vanishing_p_checked_per_row():
-    # a complex kappa whose p(lambda) = lambda^5 + 2 e^{5 i pi/6} kappa^5 vanishes at
-    # lambda = 1; real kappa never does, so the check is an internal guard
-    num = (-1.0 / (2.0 * np.exp(5j * np.pi / 6))) ** 0.2
-    spec = ExtensionSpec(2, 2, SimpleNamespace(num=num, den=1.0))
+@pytest.mark.parametrize(
+    "l,xi,num",
+    (
+        # p(lambda) = 3 lambda + 2 e^{i pi/6} kappa
+        (1, 1, -3.0 / (2.0 * np.exp(1j * np.pi / 6))),
+        # p(lambda) = 2 lambda + 3 e^{i pi/6} kappa
+        (2, 1, -2.0 / (3.0 * np.exp(1j * np.pi / 6))),
+        # p(lambda) = lambda + 2 e^{i pi/6} kappa
+        (1, 2, -1.0 / (2.0 * np.exp(1j * np.pi / 6))),
+        # p(lambda) = lambda^5 + 2 e^{5 i pi/6} kappa^5
+        (2, 2, (-1.0 / (2.0 * np.exp(5j * np.pi / 6))) ** 0.2),
+    ),
+    ids=("l1-xi1", "l2-xi1", "l1-xi2", "l2-xi2"),
+)
+def test_eigenfunction_terms_vanishing_p_checked_per_row(l, xi, num):
+    # a complex kappa whose p(lambda) vanishes at lambda = 1; real kappa never
+    # does, so the check is an internal guard
+    spec = ExtensionSpec(l, xi, SimpleNamespace(num=num, den=1.0))
     _eigenfunction_terms(spec, np.array([0.5, 2.0]))
     with pytest.raises(InternalInconsistency):
         _eigenfunction_terms(spec, np.array([0.5, 1.0, 2.0]))

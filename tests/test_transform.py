@@ -164,6 +164,23 @@ def test_round_trip_and_parseval(l, xi, kappa):
     assert parseval_check(spec, f) < 1e-3
 
 
+@pytest.mark.parametrize("kappa", (0.01, -0.01))
+def test_small_kappa_needs_the_geometric_lambda_panels(kappa):
+    # for small |kappa| the phase of p(lambda) = lambda^5 + 2 e^{5 i pi/6} kappa^5
+    # turns within lambda of order |kappa|, which the geometric panels below
+    # the join resolve.  On the CLI round-trip grid these read 2.6e-9 and
+    # 4.1e-12 (kappa 0.01) and 5.5e-10 and 9e-16 (kappa -0.01); panels of
+    # width 2 pi / r_max from lambda = 0 alone give 1.6e-2 and 6.4e-3, and
+    # 1.1e-5 and 4.5e-6
+    spec = make_extension_spec(2, 2, kappa)
+    f = domain_test_function(spec, 0, 0.6)
+    grid = np.linspace(0.05, 30.0, 500)
+    ref = np.real(eval_radial(f, grid))
+    rec = inverse(spec, forward(spec, f), grid)
+    assert np.linalg.norm(rec.values - ref) <= 1e-6 * np.linalg.norm(ref)
+    assert parseval_check(spec, f) <= 1e-9
+
+
 def test_round_trip_needs_discrete_term():
     # dropping the bound-state channel must leave a visible deficit
     spec = make_extension_spec(1, 1, -1.0)
@@ -426,15 +443,13 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
             factored.append(e[0].size + d[0].size)
             yield cols, e, d
 
-    def unused(*args):
-        raise AssertionError("the basis evaluates its pairs with _pair_exponentials")
-
     pair_exponentials, eval_series = spectrum._pair_exponentials, spectrum._eval_series
     factor_tiles = spectrum._SharedPanels.tiles
     monkeypatch.setattr(spectrum, "_pair_exponentials", exponentials)
     monkeypatch.setattr(spectrum, "_eval_series", series)
     monkeypatch.setattr(spectrum._SharedPanels, "tiles", tiles)
-    monkeypatch.setattr(spectrum, "_eval_terms", unused, raising=False)
+    # the basis evaluates its pairs with _pair_exponentials alone
+    assert not hasattr(spectrum, "_eval_terms")
     spec = make_extension_spec(2, 2, 0.0)
     f = domain_test_function(spec, 1, 0.4)
     coeffs = forward(spec, f)
