@@ -12,7 +12,8 @@ multiplication by -chi^6.
 
 Evaluation is cancellation-safe: below r_switch the closed form loses digits
 to the near-cancelling 1/r poles, so regular functions switch to an origin
-Taylor series there.
+Taylor series there, evaluated as one product of its coefficients with the
+powers of r.
 """
 
 from __future__ import annotations
@@ -141,13 +142,10 @@ def _eval_terms(r, rates, polys):
 
 
 def _eval_series(r, coefs):
-    """Horner evaluation of sum_m coefs[..., m] * r**m at each point of a 1-d r.
-    Leading axes of coefs give one row of values each; real coefs give real values."""
-    cols = np.moveaxis(coefs, -1, 0)[..., None]
-    acc = np.broadcast_to(cols[-1], coefs.shape[:-1] + r.shape).copy()
-    for c in cols[-2::-1]:
-        acc = acc * r + c
-    return acc
+    """sum_m coefs[..., m] * r**m at each point of a 1-d r, as one product of
+    the coefficients with the powers r**m.  Leading axes of coefs give one row
+    of values each; real coefs give real values."""
+    return coefs @ np.vander(r, coefs.shape[-1], increasing=True).T
 
 
 def _shaped_like(r: np.ndarray, out: np.ndarray):

@@ -27,7 +27,10 @@ products, against O(n_lambda n_r) for the tiles, which keep the other panels
 and smaller radii; one loop over groups of lambda rows runs both.  Both
 evaluate the two exponentials of a closed-form pair, e^{i lambda r} and the
 decaying e^{rho_1 lambda r}, from one complex exponential e^{i lambda r / 2}
-and one real one.
+and one real one.  What a row needs besides r (its closed-form terms, origin
+series, switch radius and canonical sign) depends on (spec, lambda) alone, so
+each contraction builds it once for the whole lambda grid (_row_setup) and the
+tiles slice it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 # fixed scan used only to pick the overall sign of an eigenfunction
 _SIGN_SCAN = np.linspace(0.25, 6.0, 24)
 # tiles of the continuous basis: bytes of one complex temporary, and the
-# fewest lambda rows, which share their set-up (terms, series, sign)
+# fewest lambda rows of a tile
 _BLOCK_BYTES = 1 << 19
 _MIN_ROWS = 16
 # rho_1 of the closed-form pair, up to conjugation (see _rho1), and the
@@ -244,27 +247,38 @@ def _checked_lambda(lam) -> np.ndarray:
 _TILE_PAIRS = _BLOCK_BYTES // (2 * 16)
 
 
-def _row_blocks(spec: ExtensionSpec, lam, ncols: int):
-    """Yield (rows, terms, signs) over blocks of lambda rows: the closed-form
-    terms and origin series that _split_rows evaluates, and the canonical sign
-    of each row (shape (n, 1)).  A block has as many rows as a tile of ncols
-    columns allows, and at least _MIN_ROWS; the set-up is made per block, so
-    its memory stays bounded too (the sign scan is a tile of its own)."""
-    height = max(_MIN_ROWS, _TILE_PAIRS // max(ncols, _SIGN_SCAN.size))
+def _row_setup(spec: ExtensionSpec, lam):
+    """(terms, signs) of every lambda row: the closed-form terms and origin
+    series that _split_rows evaluates, and the canonical sign of each row
+    (shape (n, 1)).  All of it depends on (spec, lambda) alone, so it is made
+    once per lambda grid, O(n_lambda) in memory; the sign scan runs in chunks
+    of rows whose temporaries each stay within _BLOCK_BYTES."""
+    pref, amps, rates, _ = _eigenfunction_terms(spec, lam)
+    a = pref[:, None] * amps
+    radii = SWITCH_SCALE / np.max(np.abs(rates), axis=-1)
     tilt = _tilt(spec)
-    for start in range(0, lam.size, height):
+    polys = a[:, ::2, None] * exponential_poly(spec.l, rates[:, ::2])
+    coefs = _series_coefficients(spec.l, a, rates, SERIES_ORDER).real
+    signs = np.empty((lam.size, 1))
+    chunk = _TILE_PAIRS // _SIGN_SCAN.size
+    for start in range(0, lam.size, chunk):
+        rows = slice(start, start + chunk)
+        scan = _split_rows(_SIGN_SCAN, radii[rows], lam[rows], tilt, polys[rows], coefs[rows])
+        signs[rows, 0] = _canonical_signs(scan)
+    return (radii, lam, tilt, polys, coefs), signs
+
+
+def _row_blocks(setup, idx, ncols: int):
+    """Yield (rows, terms, signs) over blocks of the rows idx of a _row_setup,
+    rows indexing idx: as many rows as a tile of ncols columns allows, at
+    least _MIN_ROWS and at most a chunk of the sign scan.  The blocks slice
+    the set-up, which is O(n_lambda) and made once per lambda grid."""
+    (radii, lam, tilt, polys, coefs), signs = setup
+    height = max(_MIN_ROWS, _TILE_PAIRS // max(ncols, _SIGN_SCAN.size))
+    for start in range(0, idx.size, height):
         rows = slice(start, start + height)
-        pref, amps, rates, _ = _eigenfunction_terms(spec, lam[rows])
-        a = pref[:, None] * amps
-        terms = (
-            SWITCH_SCALE / np.max(np.abs(rates), axis=-1),
-            lam[rows],
-            tilt,
-            a[:, ::2, None] * exponential_poly(spec.l, rates[:, ::2]),
-            _series_coefficients(spec.l, a, rates, SERIES_ORDER).real,
-        )
-        signs = _canonical_signs(_split_rows(_SIGN_SCAN, *terms))[:, None]
-        yield rows, terms, signs
+        at = idx[rows]
+        yield rows, (radii[at], lam[at], tilt, polys[at], coefs[at]), signs[at]
 
 
 def _row_tiles(terms, signs, r):
@@ -289,7 +303,8 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
     coefficients.
     """
     lam = _checked_lambda(lam)
-    for rows, terms, signs in _row_blocks(spec, lam, r.size):
+    setup = _row_setup(spec, lam)
+    for rows, terms, signs in _row_blocks(setup, np.arange(lam.size), r.size):
         for cols, u in _row_tiles(terms, signs, r):
             yield rows, cols, u
 
@@ -453,12 +468,13 @@ def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
     without forming U: the shared panels' columns beyond their cuts by the
     factored sums, everything else by tiles."""
     lam = _checked_lambda(lam)
+    setup = _row_setup(spec, lam)
     tilt, c = _tilt(spec), np.zeros(lam.size)
     for part, runs in _row_groups(lam, r):
         if part is not None:
             sums = part.sums(tilt, spec.l + 1, r, x)
         for idx, cut, at in runs:
-            for rows, terms, signs in _row_blocks(spec, lam[idx], cut):
+            for rows, terms, signs in _row_blocks(setup, idx, cut):
                 for cols, u in _row_tiles(terms, signs, r[:cut]):
                     c[idx[rows]] += u @ x[cols]
                 if part is not None:
@@ -472,13 +488,14 @@ def _basis_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
     """f = y U for the basis U of _basis_blocks at sorted r >= 0 and real y,
     split between factored sums and tiles as in _basis_matvec."""
     lam = _checked_lambda(lam)
+    setup = _row_setup(spec, lam)
     tilt, f = _tilt(spec), np.zeros(r.size)
     for part, runs in _row_groups(lam, r):
         if part is not None:
             # z[k, p, b, j]: the coefficient of r^-b e^{rho_k (a_p + delta_j) r}
             z = np.zeros((2, part.first.size, spec.l + 1, GAUSS_ORDER), np.complex128)
         for idx, cut, at in runs:
-            for rows, terms, signs in _row_blocks(spec, lam[idx], cut):
+            for rows, terms, signs in _row_blocks(setup, idx, cut):
                 for cols, u in _row_tiles(terms, signs, r[:cut]):
                     f[cols] += y[idx[rows]] @ u
                 if part is not None:

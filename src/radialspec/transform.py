@@ -25,7 +25,10 @@ one matrix product over r.  The radii beyond 4 / lambda, with the cut taken
 per run of these panels, cost O((n_panels + 24) n_r) exponentials plus the
 products; the other panels and the smaller radii are evaluated in
 memory-bounded tiles (spectrum._basis_blocks) at O(n_lambda n_r), with one
-complex exponential per (lambda, r) pair.
+complex exponential per (lambda, r) pair; the per-lambda set-up of the basis
+rows is built once per lambda grid.  inverse checks its SpectralCoefficients
+(1-d, one length, real, finite, a discrete part only with a bound state)
+before evaluating anything.
 """
 
 from __future__ import annotations
@@ -198,12 +201,38 @@ def forward(
     return _forward_with_defect(spec, f, r_max, lam_max)[0]
 
 
+def _checked_coefficients(coeffs: SpectralCoefficients):
+    """(lam_grid, lam_weights, c) of coeffs as float64, or InvalidInput unless
+    they are non-empty 1-d arrays of one length, real and finite, and
+    c_discrete is None or a finite real number."""
+    out = []
+    for name in ("lam_grid", "lam_weights", "c"):
+        a = np.asarray(getattr(coeffs, name))
+        if a.ndim != 1 or a.size == 0 or a.dtype.kind not in "fiu":
+            raise InvalidInput(f"{name} must be a non-empty 1-d real array")
+        if not np.all(np.isfinite(a)):
+            raise InvalidInput(f"{name} must be finite")
+        out.append(a.astype(np.float64))
+    if not out[0].size == out[1].size == out[2].size:
+        raise InvalidInput("lam_grid, lam_weights and c must have one length")
+    if coeffs.c_discrete is not None:
+        cd = np.asarray(coeffs.c_discrete)
+        if cd.ndim or cd.dtype.kind not in "fiu" or not np.isfinite(cd):
+            raise InvalidInput("c_discrete must be a finite real number")
+    return out
+
+
 def inverse(spec: ExtensionSpec, coeffs: SpectralCoefficients, r_grid) -> SampledFunction:
     """Reconstruct f(r) = integral c(lambda) u^lambda(r) dlambda + discrete part."""
-    r_grid = _checked_grid(r_grid)
-    acc = _basis_rmatvec(spec, coeffs.lam_grid, r_grid, coeffs.lam_weights * coeffs.c)
+    lam, lw, c = _checked_coefficients(coeffs)
+    b = None
     if coeffs.c_discrete is not None:
         b = bound_state(spec)
+        if b is None:
+            raise InvalidInput("c_discrete given for an extension without a bound state")
+    r_grid = _checked_grid(r_grid)
+    acc = _basis_rmatvec(spec, lam, r_grid, lw * c)
+    if b is not None:
         acc += coeffs.c_discrete * np.real(eval_radial(b.v, r_grid))
     return SampledFunction(r_grid, acc)
 

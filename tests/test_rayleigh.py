@@ -4,6 +4,8 @@ import sympy as sp
 
 from radialspec import (
     DomainError,
+    continuous_eigenfunction,
+    make_extension_spec,
     RadialFunction,
     ExponentialSum,
     SingularityError,
@@ -17,6 +19,8 @@ from radialspec import (
     verify_rayleigh,
 )
 from radialspec.rayleigh import (
+    MAX_SERIES_ORDER,
+    _eval_series,
     asymptotic_check,
     r_switch,
     t3_apply_analytic,
@@ -134,6 +138,38 @@ def test_origin_series_eval_keeps_shape_at_every_order():
         assert got.shape == r.shape
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
     assert s.eval(0.2) == complex(s.eval(np.array([0.2]))[0])
+
+
+def _horner(r, coefs):
+    """sum_m coefs[..., m] r**m by Horner's rule, one row per leading index."""
+    acc = np.zeros(np.shape(coefs)[:-1] + r.shape, np.result_type(coefs, r))
+    for c in np.moveaxis(coefs, -1, 0)[::-1]:
+        acc = acc * r + np.asarray(c)[..., None]
+    return acc
+
+
+@pytest.mark.parametrize("order", range(MAX_SERIES_ORDER + 1))
+def test_eval_series_matches_horner(order):
+    # the origin series of continuous eigenfunctions, complex as OriginSeries
+    # and real in rows as the basis tiles take them, plus a row with a nonzero
+    # constant term, on r from 0 to the smallest r_switch
+    spec = make_extension_spec(2, 2, -1.3)
+    us = [continuous_eigenfunction(spec, lam).u for lam in (0.3, 1.7, 6.0)]
+    r = np.linspace(0.0, min(r_switch(u) for u in us), 41)
+    series = [origin_series(u, order) for u in us]
+    decay = (0.5 / r[-1]) ** np.arange(order + 1)
+    rows = np.vstack(
+        [s.coefficients.real for s in series]
+        + [np.random.default_rng(order).standard_normal(order + 1) * decay]
+    )
+    cases = [(s.eval(r), s.coefficients) for s in series]
+    cases.append((_eval_series(r, rows), rows))
+    for got, coefs in cases:
+        # relative to sum_m |c_m| r^m, the size of the terms Horner adds
+        scale = _horner(r, np.abs(coefs))
+        assert got.shape == np.shape(coefs)[:-1] + r.shape
+        assert np.all(got[..., 0] == coefs[..., 0])
+        assert np.all(np.abs(got - _horner(r, coefs)) <= 1e-14 * scale)
 
 
 def test_origin_series_rejects_nonregular():

@@ -11,6 +11,8 @@ from radialspec import (
     continuous_eigenfunction,
     domain_test_function,
     eval_radial,
+    forward,
+    inverse,
     jet_at_origin,
     make_extension_spec,
     spectral_density,
@@ -30,6 +32,7 @@ from radialspec.spectrum import (
     realness_residual,
     resolvent_difference_density,
 )
+from radialspec import transform
 from radialspec.transform import radial_rule, spectral_rule
 
 ALL_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -164,6 +167,29 @@ def test_factored_contractions_match_tiles(l, xi, kappa, r_max, lam_max):
     f = _basis_rmatvec(spec, lam, r, y)
     assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
     assert np.max(np.abs(f - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
+
+
+def test_basis_set_up_once_per_lambda_grid(monkeypatch):
+    # the (spec, lambda) set-up of the basis rows (terms, series, sign) is
+    # made once for the whole lambda grid, not once per block of tile rows:
+    # a slot-0-sized forward (n_r = 1704, many 16-row blocks and several runs
+    # of shared panels) and its 500-point inverse each build the terms once
+    calls = []
+
+    def terms(spec, lam):
+        calls.append(np.size(lam))
+        return eigenfunction_terms(spec, lam)
+
+    eigenfunction_terms = spectrum._eigenfunction_terms
+    monkeypatch.setattr(spectrum, "_eigenfunction_terms", terms)
+    spec = make_extension_spec(2, 2, 0.0)
+    f = domain_test_function(spec, 1, 0.4)
+    assert radial_rule(transform._default_r_max(f))[0].size == 1704
+    coeffs = forward(spec, f)
+    assert calls == [coeffs.lam_grid.size]
+    calls.clear()
+    inverse(spec, coeffs, np.linspace(0.05, 30.0, 500))
+    assert calls == [coeffs.lam_grid.size]
 
 
 def test_spectral_rule_places_uniform_panels_exactly():

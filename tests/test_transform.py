@@ -54,6 +54,38 @@ def test_sampled_function_rejects_nonfinite(bad):
         SampledFunction(np.array([0.5, 1.0, 1.5]), np.array([1.0, complex(bad, 0.0), 1.0]))
 
 
+# well-formed coefficients on a three-node grid, and one malformed field
+# each, for an extension with a bound state unless kappa says otherwise
+GOOD_COEFFS = dict(
+    lam_grid=np.array([0.5, 1.0, 1.5]),
+    lam_weights=np.full(3, 0.5),
+    c=np.array([1.0, -0.5, 0.25]),
+)
+MALFORMED_COEFFS = {
+    "c_broadcasting_length_one": dict(c=np.array([1.0])),
+    "c_one_short": dict(c=np.array([1.0, -0.5])),
+    "c_complex": dict(c=np.array([1.0, -0.5j, 0.25])),
+    "c_nonfinite": dict(c=np.array([1.0, np.nan, 0.25])),
+    "lam_grid_2d": dict(lam_grid=np.array([[0.5, 1.0, 1.5]])),
+    "lam_weights_one_long": dict(lam_weights=np.full(4, 0.5)),
+    "all_empty": dict(lam_grid=np.array([]), lam_weights=np.array([]), c=np.array([])),
+    "c_discrete_complex": dict(c_discrete=1.0 + 1.0j),
+    "c_discrete_without_bound_state": dict(c_discrete=1.0, kappa=0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COEFFS))
+def test_inverse_rejects_malformed_coefficients(monkeypatch, case):
+    def no_basis(*args):
+        raise AssertionError("basis evaluated before the coefficients were checked")
+
+    monkeypatch.setattr(transform, "_basis_rmatvec", no_basis)
+    fields = {**GOOD_COEFFS, **MALFORMED_COEFFS[case]}
+    spec = make_extension_spec(1, 1, fields.pop("kappa", -1.0))
+    with pytest.raises(InvalidInput):
+        inverse(spec, SpectralCoefficients(**fields), R_GRID)
+
+
 @pytest.mark.parametrize(
     "grid",
     (
@@ -428,14 +460,15 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
     # series; the factors E and D of the factored sums are counted apart and
     # left out.  About a fifth stay on the tiles in a slot-0 forward, and
     # about a quarter in its 500-point inverse on (0.05, 30)
-    pairs, factored = [], []
+    pairs, near, factored = [], [], []
 
     def exponentials(theta, tilt):
         pairs.append(theta.size)
         return pair_exponentials(theta, tilt)
 
     def series(r, coefs):
-        pairs.append(coefs.shape[0] * r.size)
+        near.append(coefs.shape[0] * r.size)
+        pairs.append(near[-1])
         return eval_series(r, coefs)
 
     def tiles(self, tilt, r):
@@ -455,10 +488,14 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
     coeffs = forward(spec, f)
     n_r = radial_rule(transform._default_r_max(f))[0].size
     assert n_r == 1704
+    # the counters see the basis: the series pairs go through _eval_series
+    assert sum(near) > 0
     assert 0 < sum(factored) < sum(pairs)
     assert sum(pairs) - sum(factored) <= coeffs.lam_grid.size * n_r / 5
     pairs.clear()
+    near.clear()
     factored.clear()
     inverse(spec, coeffs, np.linspace(0.05, 30.0, 500))
+    assert sum(near) > 0
     assert 0 < sum(factored) < sum(pairs)
     assert sum(pairs) - sum(factored) <= coeffs.lam_grid.size * 500 * 3 / 10
