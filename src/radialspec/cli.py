@@ -30,7 +30,6 @@ from .resolvent import kernel, validate_sector
 from .spectrum import bound_state, continuous_eigenfunction
 from .transform import (
     SampledFunction,
-    _forward_with_defect,
     apply_function,
     domain_test_function,
     forward,
@@ -193,7 +192,7 @@ def cmd_transform(args) -> int:
         if coeffs.c_discrete is not None:
             print(f"c_discrete = {_fmt(coeffs.c_discrete)}", file=sys.stderr)
     elif args.mode == "roundtrip":
-        coeffs, defect = _forward_with_defect(spec, f)
+        coeffs = forward(spec, f)
         if isinstance(f, SampledFunction):
             grid = f.grid
             ref = np.real(f.values)
@@ -209,7 +208,7 @@ def cmd_transform(args) -> int:
             zip(grid, ref, rec.values),
         )
         print(f"roundtrip relative l2 error = {err:.3e}", file=sys.stderr)
-        print(f"parseval defect = {defect:.3e}", file=sys.stderr)
+        print(f"parseval defect = {coeffs.parseval_defect:.3e}", file=sys.stderr)
     else:
         if args.phi == "identity":
             phi = lambda x: x

@@ -29,13 +29,15 @@ evaluate the two exponentials of a closed-form pair, e^{i lambda r} and the
 decaying e^{rho_1 lambda r}, from one complex exponential e^{i lambda r / 2}
 and one real one.  What a row needs besides r (its closed-form terms, origin
 series, switch radius and canonical sign) depends on (spec, lambda) alone, so
-each contraction builds it once for the whole lambda grid (_row_setup) and the
-tiles slice it.
+it is built for the whole lambda grid and cached per (spec, lambda grid)
+across calls (_row_setup): a forward and the inverse on its grid build it
+once, and the tiles slice it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -247,12 +249,22 @@ def _checked_lambda(lam) -> np.ndarray:
 _TILE_PAIRS = _BLOCK_BYTES // (2 * 16)
 
 
-def _row_setup(spec: ExtensionSpec, lam):
-    """(terms, signs) of every lambda row: the closed-form terms and origin
-    series that _split_rows evaluates, and the canonical sign of each row
-    (shape (n, 1)).  All of it depends on (spec, lambda) alone, so it is made
-    once per lambda grid, O(n_lambda) in memory; the sign scan runs in chunks
-    of rows whose temporaries each stay within _BLOCK_BYTES."""
+# Small on purpose: the reuse that pays is one lambda grid shared by a
+# forward and the inverse or apply_function after it, and each entry keeps
+# O(n_lambda) arrays alive for the life of the process.
+_SETUP_CACHE = 2
+
+
+@lru_cache(maxsize=_SETUP_CACHE)
+def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
+    """(terms, signs) of every row of the float64 lambda grid whose bytes are
+    lam_bytes: the closed-form terms and origin series that _split_rows
+    evaluates, and the canonical sign of each row (shape (n, 1)).  All of it
+    depends on (spec, lambda) alone, so it is cached per (spec, lambda grid)
+    across calls, O(n_lambda) in memory, and its arrays are read-only; the
+    sign scan runs in chunks of rows whose temporaries each stay within
+    _BLOCK_BYTES."""
+    lam = np.frombuffer(lam_bytes)
     pref, amps, rates, _ = _eigenfunction_terms(spec, lam)
     a = pref[:, None] * amps
     radii = SWITCH_SCALE / np.max(np.abs(rates), axis=-1)
@@ -265,6 +277,8 @@ def _row_setup(spec: ExtensionSpec, lam):
         rows = slice(start, start + chunk)
         scan = _split_rows(_SIGN_SCAN, radii[rows], lam[rows], tilt, polys[rows], coefs[rows])
         signs[rows, 0] = _canonical_signs(scan)
+    for values in (radii, polys, coefs, signs):
+        values.setflags(write=False)
     return (radii, lam, tilt, polys, coefs), signs
 
 
@@ -272,7 +286,7 @@ def _row_blocks(setup, idx, ncols: int):
     """Yield (rows, terms, signs) over blocks of the rows idx of a _row_setup,
     rows indexing idx: as many rows as a tile of ncols columns allows, at
     least _MIN_ROWS and at most a chunk of the sign scan.  The blocks slice
-    the set-up, which is O(n_lambda) and made once per lambda grid."""
+    the set-up, which is O(n_lambda) and cached per (spec, lambda grid)."""
     (radii, lam, tilt, polys, coefs), signs = setup
     height = max(_MIN_ROWS, _TILE_PAIRS // max(ncols, _SIGN_SCAN.size))
     for start in range(0, idx.size, height):
@@ -303,7 +317,7 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
     coefficients.
     """
     lam = _checked_lambda(lam)
-    setup = _row_setup(spec, lam)
+    setup = _row_setup(spec, lam.tobytes())
     for rows, terms, signs in _row_blocks(setup, np.arange(lam.size), r.size):
         for cols, u in _row_tiles(terms, signs, r):
             yield rows, cols, u
@@ -468,7 +482,7 @@ def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
     without forming U: the shared panels' columns beyond their cuts by the
     factored sums, everything else by tiles."""
     lam = _checked_lambda(lam)
-    setup = _row_setup(spec, lam)
+    setup = _row_setup(spec, lam.tobytes())
     tilt, c = _tilt(spec), np.zeros(lam.size)
     for part, runs in _row_groups(lam, r):
         if part is not None:
@@ -488,7 +502,7 @@ def _basis_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
     """f = y U for the basis U of _basis_blocks at sorted r >= 0 and real y,
     split between factored sums and tiles as in _basis_matvec."""
     lam = _checked_lambda(lam)
-    setup = _row_setup(spec, lam)
+    setup = _row_setup(spec, lam.tobytes())
     tilt, f = _tilt(spec), np.zeros(r.size)
     for part, runs in _row_groups(lam, r):
         if part is not None:

@@ -26,9 +26,15 @@ per run of these panels, cost O((n_panels + 24) n_r) exponentials plus the
 products; the other panels and the smaller radii are evaluated in
 memory-bounded tiles (spectrum._basis_blocks) at O(n_lambda n_r), with one
 complex exponential per (lambda, r) pair; the per-lambda set-up of the basis
-rows is built once per lambda grid.  inverse checks its SpectralCoefficients
+rows is cached per (spec, lambda grid) across calls, so a forward and the
+inverse on its grid build it once.  inverse checks its SpectralCoefficients
 (1-d, one length, real, finite, a discrete part only with a bound state)
 before evaluating anything.
+
+forward returns the Parseval defect of f from its one projection, and
+remembers it for the last RadialFunction it projected, keyed by the cutoffs
+and f's content; parseval_check on that f and those cutoffs returns it
+without projecting f again, so a round trip projects once.
 """
 
 from __future__ import annotations
@@ -115,12 +121,16 @@ def _check_cutoffs(r_max, lam_max):
 
 @dataclass(frozen=True)
 class SpectralCoefficients:
-    """Transform data: c(lambda) on a quadrature grid, plus the discrete part."""
+    """Transform data: c(lambda) on a quadrature grid, plus the discrete part.
+
+    forward also sets parseval_defect, the relative defect
+    | ||f||^2 - (int c^2 + c_d^2) | / ||f||^2 of the projected f."""
 
     lam_grid: np.ndarray
     lam_weights: np.ndarray
     c: np.ndarray
     c_discrete: float | None = None
+    parseval_defect: float | None = None
 
 
 def _as_callable(f):
@@ -180,15 +190,40 @@ def spectral_rule(r_max: float, lam_max: float = DEFAULT_LAMBDA_MAX):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _project(spec: ExtensionSpec, rn, fw, r_max: float, lam_max: float):
-    """Coefficients of the weighted samples fw at the sorted radial nodes rn."""
+def _project(spec: ExtensionSpec, rn, rw, fw, r_max: float, lam_max: float):
+    """Coefficients of the weighted samples fw = f(rn) rw at the sorted radial
+    nodes rn, with the Parseval defect of f against them."""
     lam, lw = spectral_rule(r_max, lam_max)
     c = _basis_matvec(spec, lam, rn, np.real(fw))
     b = bound_state(spec)
     cd = None
     if b is not None:
         cd = float(np.real(np.sum(eval_radial(b.v, rn) * fw)))
-    return SpectralCoefficients(lam, lw, c, cd)
+    norm2 = float(np.sum(np.abs(fw) ** 2 / rw))
+    defect = 0.0
+    if norm2 != 0.0:
+        total = float(np.sum(lw * c**2))
+        if cd is not None:
+            total += cd**2
+        defect = abs(norm2 - total) / norm2
+    return SpectralCoefficients(lam, lw, c, cd, defect)
+
+
+# One entry: (key, Parseval defect) of the last RadialFunction that forward
+# projected, replaced as one tuple so that no reader pairs a key with another
+# projection's defect.  parseval_check reuses it for the f a round trip has
+# just transformed.
+_last_defect = [(None, None)]
+
+
+def _defect_key(spec: ExtensionSpec, f, r_max: float, lam_max: float):
+    """The key of a projection of f in _last_defect: the cutoffs and f's
+    content.  None unless f is a RadialFunction, whose read-only arrays fix
+    what a key describes; samples and callables always project."""
+    if not isinstance(f, RadialFunction):
+        return None
+    base = f.base
+    return (spec, r_max, lam_max, f.l, f.scale, base.amplitudes.tobytes(), base.rates.tobytes())
 
 
 def forward(
@@ -197,8 +232,18 @@ def forward(
     r_max: float = None,
     lam_max: float = DEFAULT_LAMBDA_MAX,
 ) -> SpectralCoefficients:
-    """c(lambda) = <u^lambda, f> on the spectral grid; includes <v, f> if bound."""
-    return _forward_with_defect(spec, f, r_max, lam_max)[0]
+    """c(lambda) = <u^lambda, f> on the spectral grid; includes <v, f> if
+    bound, and the Parseval defect of f from the same projection."""
+    if r_max is None:
+        r_max = _default_r_max(f)
+    _check_cutoffs(r_max, lam_max)
+    rn, rw = radial_rule(r_max)
+    fw = np.asarray(_as_callable(f)(rn)) * rw
+    coeffs = _project(spec, rn, rw, fw, r_max, lam_max)
+    key = _defect_key(spec, f, r_max, lam_max)
+    if key is not None:
+        _last_defect[0] = (key, coeffs.parseval_defect)
+    return coeffs
 
 
 def _checked_coefficients(coeffs: SpectralCoefficients):
@@ -286,29 +331,17 @@ def apply_function(
     return out
 
 
-def _forward_with_defect(
-    spec: ExtensionSpec, f, r_max: float = None, lam_max: float = DEFAULT_LAMBDA_MAX
-):
-    """forward(spec, f, r_max, lam_max) and the Parseval defect of f against
-    those coefficients, from one projection."""
+def parseval_check(spec: ExtensionSpec, f, r_max: float = None) -> float:
+    """Relative defect | ||f||^2 - (int c^2 + c_d^2) | / ||f||^2, at forward's
+    default lam_max: the one forward just computed for this RadialFunction
+    and r_max, else from a new projection."""
     if r_max is None:
         r_max = _default_r_max(f)
-    _check_cutoffs(r_max, lam_max)
-    rn, rw = radial_rule(r_max)
-    fw = np.asarray(_as_callable(f)(rn)) * rw
-    coeffs = _project(spec, rn, fw, r_max, lam_max)
-    norm2 = float(np.sum(np.abs(fw) ** 2 / rw))
-    if norm2 == 0.0:
-        return coeffs, 0.0
-    total = float(np.sum(coeffs.lam_weights * coeffs.c**2))
-    if coeffs.c_discrete is not None:
-        total += coeffs.c_discrete**2
-    return coeffs, abs(norm2 - total) / norm2
-
-
-def parseval_check(spec: ExtensionSpec, f, r_max: float = None) -> float:
-    """Relative defect | ||f||^2 - (int c^2 + c_d^2) | / ||f||^2."""
-    return _forward_with_defect(spec, f, r_max)[1]
+    key = _defect_key(spec, f, r_max, DEFAULT_LAMBDA_MAX)
+    last_key, defect = _last_defect[0]
+    if key is not None and key == last_key:
+        return defect
+    return forward(spec, f, r_max).parseval_defect
 
 
 @lru_cache(maxsize=None)

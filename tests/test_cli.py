@@ -275,13 +275,12 @@ def test_transform_roundtrip_projects_once(capsys, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 1
+    # the printed defect is forward's own, equal to a cold projection's
+    transform._last_defect[0] = (None, None)
     spec = make_extension_spec(2, 2, -1.0)
-    f = domain_test_function(spec, 0)
-    coeffs, defect = transform._forward_with_defect(spec, f)
-    assert defect == parseval_check(spec, f)
+    defect = parseval_check(spec, domain_test_function(spec, 0))
+    assert len(calls) == 2
     assert f"parseval defect = {defect:.3e}" in err
-    ref = transform.forward(spec, f)
-    assert np.array_equal(coeffs.c, ref.c) and coeffs.c_discrete == ref.c_discrete
 
 
 def test_transform_forward_json_stdout(capsys):

@@ -171,9 +171,11 @@ def test_factored_contractions_match_tiles(l, xi, kappa, r_max, lam_max):
 
 def test_basis_set_up_once_per_lambda_grid(monkeypatch):
     # the (spec, lambda) set-up of the basis rows (terms, series, sign) is
-    # made once for the whole lambda grid, not once per block of tile rows:
-    # a slot-0-sized forward (n_r = 1704, many 16-row blocks and several runs
-    # of shared panels) and its 500-point inverse each build the terms once
+    # made once for the whole lambda grid, not once per block of tile rows,
+    # and cached per (spec, lambda grid): a slot-0-sized forward (n_r = 1704,
+    # many 16-row blocks and several runs of shared panels) builds the terms
+    # once, its 500-point inverse on the same grid not at all, and a forward
+    # on another r_max (another lambda grid) once more
     calls = []
 
     def terms(spec, lam):
@@ -189,7 +191,48 @@ def test_basis_set_up_once_per_lambda_grid(monkeypatch):
     assert calls == [coeffs.lam_grid.size]
     calls.clear()
     inverse(spec, coeffs, np.linspace(0.05, 30.0, 500))
-    assert calls == [coeffs.lam_grid.size]
+    assert calls == []
+    other = forward(spec, f, r_max=40.0)
+    assert other.lam_grid.size != coeffs.lam_grid.size
+    assert calls == [other.lam_grid.size]
+
+
+def test_row_setup_cache_is_bounded_and_read_only():
+    spec = make_extension_spec(1, 2, -0.8)
+    for r_max in (10.5, 20.9, 30.0, 40.0, 70.6):
+        lam = spectral_rule(r_max)[0]
+        (radii, lam_rows, _, polys, coefs), signs = spectrum._row_setup(spec, lam.tobytes())
+        assert np.array_equal(lam_rows, lam)
+        for values in (radii, lam_rows, polys, coefs, signs):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values.flat[0] = 0.0
+    info = spectrum._row_setup.cache_info()
+    assert info.misses == 5 and 0 < info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("l,xi,kappa", BASIS_CASES)
+def test_warm_setup_contracts_like_a_cold_one(l, xi, kappa):
+    # a contraction or tile that reads a cached set-up equals one that builds
+    # it, bit for bit
+    spec = make_extension_spec(l, xi, kappa)
+    lam = spectral_rule(20.9)[0]
+    r, rw = radial_rule(20.9)
+    x = rw * np.exp(-0.2 * r)
+    y = np.exp(-0.3 * lam)
+
+    calls = (
+        lambda: _basis_matvec(spec, lam, r, x).tobytes(),
+        lambda: _basis_rmatvec(spec, lam, r, y).tobytes(),
+        lambda: [u.tobytes() for _, _, u in _basis_blocks(spec, lam, r[::5])],
+    )
+    cold = []
+    for call in calls:
+        spectrum._row_setup.cache_clear()
+        cold.append(call())
+    hits = spectrum._row_setup.cache_info().hits
+    assert [call() for call in calls] == cold
+    assert spectrum._row_setup.cache_info().hits == hits + 3
 
 
 def test_spectral_rule_places_uniform_panels_exactly():

@@ -20,6 +20,7 @@ from radialspec import (
     parseval_check,
 )
 from radialspec import spectrum, transform
+from radialspec.core import ExponentialSum, RadialFunction
 from radialspec.transform import (
     DEFAULT_LAMBDA_MAX,
     SampledFunction,
@@ -271,6 +272,96 @@ def test_apply_resolvent_map_matches_kernel_route():
 def test_parseval_zero_function():
     spec = make_extension_spec(1, 2, 0.0)
     assert parseval_check(spec, lambda r: np.zeros_like(np.asarray(r)), r_max=10.0) == 0.0
+
+
+# ------------------------------------------------ the remembered Parseval defect
+# forward remembers the defect of the last RadialFunction it projected;
+# parseval_check on the same f and cutoffs returns it without projecting.
+
+MEMO_R_MAX = 20.9
+
+
+def _counted_projections(monkeypatch):
+    calls = []
+    project = transform._project
+
+    def counted(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(transform, "_project", counted)
+    return calls
+
+
+def _cold_defect(spec, f, r_max):
+    transform._last_defect[0] = (None, None)
+    return parseval_check(spec, f, r_max=r_max)
+
+
+def _memo_case():
+    spec = make_extension_spec(1, 2, -0.8)
+    return spec, domain_test_function(spec, 2, 1.5)
+
+
+@pytest.mark.parametrize("r_max", (None, MEMO_R_MAX))
+def test_parseval_check_after_forward_does_not_project(monkeypatch, r_max):
+    spec, f = _memo_case()
+    cold = _cold_defect(spec, f, r_max)
+    calls = _counted_projections(monkeypatch)
+    coeffs = forward(spec, f, r_max=r_max)
+    assert parseval_check(spec, f, r_max=r_max) == cold == coeffs.parseval_defect
+    assert len(calls) == 1
+    # forward itself always projects, and returns fresh writeable arrays
+    again = forward(spec, f, r_max=r_max)
+    assert len(calls) == 2
+    assert again.c is not coeffs.c and again.c.flags.writeable
+    assert np.array_equal(again.c, coeffs.c)
+
+
+def _changed(f, index):
+    amps = f.base.amplitudes.copy()
+    amps[index] = complex(np.nextafter(amps[index].real, np.inf), amps[index].imag)
+    return RadialFunction(ExponentialSum(amps, f.base.rates), f.l, f.scale)
+
+
+@pytest.mark.parametrize("change", ("amplitude", "scale", "r_max", "lam_max", "kappa"))
+def test_parseval_check_projects_a_changed_input(monkeypatch, change):
+    spec, f = _memo_case()
+    lam_max = 12.0 if change == "lam_max" else DEFAULT_LAMBDA_MAX
+    check = {
+        "amplitude": (spec, _changed(f, 1), MEMO_R_MAX),
+        "scale": (spec, f.rescaled(1.5), MEMO_R_MAX),
+        "r_max": (spec, f, 21.0),
+        "lam_max": (spec, f, MEMO_R_MAX),
+        "kappa": (make_extension_spec(1, 2, -0.7), f, MEMO_R_MAX),
+    }[change]
+    cold = _cold_defect(*check)
+    calls = _counted_projections(monkeypatch)
+    forward(spec, f, r_max=MEMO_R_MAX, lam_max=lam_max)
+    assert parseval_check(*check) == cold
+    assert len(calls) == 2
+
+
+def test_parseval_check_projects_samples_and_callables(monkeypatch):
+    spec, f = _memo_case()
+    grid = np.linspace(0.01, MEMO_R_MAX, 400)
+    sampled = SampledFunction(grid, np.real(eval_radial(f, grid)))
+    plain = lambda r: np.real(eval_radial(f, r))
+    calls = _counted_projections(monkeypatch)
+    forward(spec, f, r_max=MEMO_R_MAX)
+    for g in (sampled, plain):
+        coeffs = forward(spec, g, r_max=MEMO_R_MAX)
+        assert parseval_check(spec, g, r_max=MEMO_R_MAX) == coeffs.parseval_defect
+    assert len(calls) == 5
+
+
+def test_parseval_check_ignores_changes_to_returned_coefficients():
+    spec, f = _memo_case()
+    coeffs = forward(spec, f, r_max=MEMO_R_MAX)
+    defect = coeffs.parseval_defect
+    coeffs.c[:] = 0.0
+    assert parseval_check(spec, f, r_max=MEMO_R_MAX) == defect
+    assert _cold_defect(spec, f, MEMO_R_MAX) == defect
 
 
 def test_fd_apply_grid_errors():
