@@ -14,6 +14,13 @@ Evaluation is cancellation-safe: below r_switch the closed form loses digits
 to the near-cancelling 1/r poles, so regular functions switch to an origin
 Taylor series there, evaluated as one product of its coefficients with the
 powers of r.
+
+The closed form runs in tiles of r, so its (points x terms) temporaries stay
+within _BLOCK_BYTES whatever the grid size; each point is computed in the
+same order in any tile (Horner in 1/r per term, times the exponential, then
+one sum over the terms), so tiling moves no value.  A sum whose rates and
+polynomial coefficients all have an exactly zero imaginary part runs in real
+arithmetic; eval_radial and derivative still return complex values.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ SERIES_ORDER = 16
 MAX_SERIES_ORDER = 24
 # r_switch = SWITCH_SCALE / max_k |chi_k|
 SWITCH_SCALE = 0.5
+# bytes of one complex temporary of a tile, here and in the transform basis
+_BLOCK_BYTES = 1 << 19
 
 
 def monomial_coefficient(l: int, k: int) -> float:
@@ -121,24 +130,49 @@ def r_switch(f: RadialFunction) -> float:
 
 
 def term_data(f: RadialFunction):
-    """(rates, polys) arrays for the closed-form evaluator."""
+    """(rates, polys) arrays for the closed-form evaluator: float64 when every
+    rate and coefficient has an exactly zero imaginary part, else complex128."""
     polys = np.zeros((len(f.base), f.l + 1), np.complex128)
     for k, chi in enumerate(f.base.rates):
         polys[k] = f.scale * f.base.amplitudes[k] * exponential_poly(f.l, chi)
-    return np.asarray(f.base.rates, np.complex128), polys
+    rates = np.asarray(f.base.rates, np.complex128)
+    if rates.imag.any() or polys.imag.any():
+        return rates, polys
+    return rates.real.copy(), polys.real.copy()
+
+
+def _horner_inv(polys, inv):
+    """sum_j polys[..., j] * inv**j by Horner's rule.  Products are formed
+    out of place: numpy's in-place complex multiply may round differently."""
+    q = polys[..., -1]
+    for j in range(polys.shape[-1] - 2, -1, -1):
+        q = q * inv + polys[..., j]
+    return q
 
 
 def _eval_terms(r, rates, polys):
     """sum_k (sum_j polys[..., k, j] / r**j) * exp(rates[..., k] * r) at each point
     of a 1-d r.  Leading axes of rates (..., K) and polys (..., K, P) give one
-    row of values each."""
-    inv = 1.0 / r[:, None]
-    npow = polys.shape[-1]
-    shape = rates.shape[:-1] + (r.shape[0], rates.shape[-1])
-    q = np.broadcast_to(polys[..., None, :, npow - 1], shape).copy()
-    for j in range(npow - 2, -1, -1):
-        q = q * inv + polys[..., None, :, j]
-    return np.sum(q * np.exp(r[:, None] * rates[..., None, :]), axis=-1)
+    row of values each.  Runs in tiles of r whose complex (..., rows, K)
+    temporaries stay within _BLOCK_BYTES; real rates and polys give real
+    values."""
+    out = np.empty(rates.shape[:-1] + r.shape, np.result_type(rates, polys))
+    rows = max(1, _BLOCK_BYTES // (16 * rates.size))
+    for first in range(0, r.size, rows):
+        tile = slice(first, first + rows)
+        out[..., tile] = _eval_tile(r[tile, None], rates, polys)
+    return out
+
+
+def _eval_tile(tile, rates, polys):
+    """_eval_terms on one tile (rows, 1) of r; its temporaries die on return.
+
+    Both factors of the product are named, so numpy never elides it into an
+    unnamed temporary of 256 KiB or more: that would compute exp * q in
+    place, which its SIMD complex multiply rounds differently from q * exp."""
+    q = _horner_inv(polys[..., None, :, :], 1.0 / tile)
+    e = tile * rates[..., None, :]
+    return np.sum(q * np.exp(e, out=e), axis=-1)
 
 
 def _eval_series(r, coefs):
@@ -156,7 +190,7 @@ def _shaped_like(r: np.ndarray, out: np.ndarray):
 def _differentiate_polys(rates, polys):
     """One d/dr applied to sum_k (poly_k in 1/r) e^{rate_k r}, same representation."""
     n, m = polys.shape
-    out = np.zeros((n, m + 1), np.complex128)
+    out = np.zeros((n, m + 1), np.result_type(rates, polys))
     for k in range(n):
         out[k, :m] += rates[k] * polys[k]
         for j in range(m):

@@ -47,6 +47,7 @@ from .quadrature import GAUSS_ORDER
 from .rayleigh import (
     SERIES_ORDER,
     SWITCH_SCALE,
+    _BLOCK_BYTES,
     _eval_series,
     _series_coefficients,
     dl_exponential,
@@ -59,9 +60,8 @@ from .resolvent import POLE_SCALE, _denominator, kernel, pole_location
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 # fixed scan used only to pick the overall sign of an eigenfunction
 _SIGN_SCAN = np.linspace(0.25, 6.0, 24)
-# tiles of the continuous basis: bytes of one complex temporary, and the
-# fewest lambda rows of a tile
-_BLOCK_BYTES = 1 << 19
+# tiles of the continuous basis: the fewest lambda rows of a tile (each
+# complex temporary stays within rayleigh's _BLOCK_BYTES)
 _MIN_ROWS = 16
 # rho_1 of the closed-form pair, up to conjugation (see _rho1), and the
 # -Re rho_1 that _pair_exponentials takes, which is one ulp below -Re _RHO1

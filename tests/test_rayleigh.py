@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -12,6 +14,7 @@ from radialspec import (
     Unsupported,
     derivative,
     dl_exponential,
+    domain_test_function,
     eval_radial,
     jet_at_origin,
     monomial_coefficient,
@@ -20,12 +23,15 @@ from radialspec import (
 )
 from radialspec.rayleigh import (
     MAX_SERIES_ORDER,
+    _BLOCK_BYTES,
     _eval_series,
+    _eval_terms,
     asymptotic_check,
     r_switch,
     t3_apply_analytic,
     t3_coefficients,
     t3_termwise,
+    term_data,
 )
 
 
@@ -257,3 +263,100 @@ def test_t3_termwise_matches_expanded_operator():
     lhs = eval_radial(t3_termwise(f), r)
     rhs = t3_apply_analytic(f, r)
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(1 + np.abs(lhs))
+
+
+# ------------------------------------------------ tiles and the real path
+
+
+def _untiled_eval_terms(r, rates, polys):
+    """The closed-form evaluator before it was tiled: whole-grid (n x K)
+    temporaries, kept as the reference the tiles must reproduce bit for bit.
+
+    The exponential is named: as an unnamed temporary of 256 KiB or more,
+    numpy's temporary elision computes the product in place as exp * q, and
+    its SIMD complex multiply rounds exp * q and q * exp differently, so the
+    values of the untiled product would depend on the size of the grid."""
+    inv = 1.0 / r[:, None]
+    npow = polys.shape[-1]
+    shape = rates.shape[:-1] + (r.shape[0], rates.shape[-1])
+    q = np.broadcast_to(polys[..., None, :, npow - 1], shape).copy()
+    for j in range(npow - 2, -1, -1):
+        q = q * inv + polys[..., None, :, j]
+    e = np.exp(r[:, None] * rates[..., None, :])
+    return np.sum(q * e, axis=-1)
+
+
+# (leading axes, terms K, coefficients P); K = 1 with no leading axes is
+# the dl_exponential path
+TERM_SHAPES = [((), 8, 3), ((), 1, 2), ((3,), 4, 2), ((2, 2), 3, 5)]
+
+
+@pytest.mark.parametrize("lead,nterms,npow", TERM_SHAPES)
+@pytest.mark.parametrize("tiles", ["tile-1", "tile", "tile+1", "3tile+5"])
+def test_tiled_eval_terms_equals_untiled_bit_for_bit(lead, nterms, npow, tiles):
+    rng = np.random.default_rng(len(lead) + nterms)
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rates = cplx(*lead, nterms) - 2.0
+    polys = cplx(*lead, nterms, npow)
+    tile = _BLOCK_BYTES // (16 * rates.size)
+    n = {"tile-1": tile - 1, "tile": tile, "tile+1": tile + 1, "3tile+5": 3 * tile + 5}[tiles]
+    r = np.sort(rng.uniform(0.05, 12.0, n))
+    got = _eval_terms(r, rates, polys)
+    assert got.shape == lead + (n,)
+    assert np.array_equal(got, _untiled_eval_terms(r, rates, polys))
+
+
+def _kappa_classes(l):
+    return (0.7, 0.0, -1.2) + (("inf",) if l == 2 else ())
+
+
+@pytest.mark.parametrize(
+    "l,xi,kappa",
+    [(l, xi, k) for l in (1, 2) for xi in (1, 2) for k in _kappa_classes(l)],
+)
+def test_domain_test_function_runs_in_real_arithmetic(l, xi, kappa):
+    f = domain_test_function(make_extension_spec(l, xi, kappa))
+    rates, polys = term_data(f)
+    assert rates.dtype == polys.dtype == np.float64
+    r = np.linspace(0.0 if f.regular_at_origin else 0.01, 40.0, 600).reshape(20, 30)
+    got = eval_radial(f, r)
+    assert got.dtype == np.complex128 and got.shape == r.shape
+    assert np.all(got.imag == 0.0)
+    one = eval_radial(f, 1.3)
+    assert type(one) is complex and one.imag == 0.0
+    # the closed form, against the same sum in complex arithmetic, relative
+    # to the size of its terms
+    far = r.ravel() > (r_switch(f) if f.regular_at_origin else 0.0)
+    x = r.ravel()[far]
+    ref = _eval_terms(x, rates.astype(complex), polys.astype(complex))
+    powers = (1.0 / x[:, None, None]) ** np.arange(polys.shape[-1])
+    terms = np.sum(polys * powers, axis=-1) * np.exp(x[:, None] * rates)
+    bound = 4.0 * np.finfo(float).eps * np.sum(np.abs(terms), axis=-1)
+    assert np.all(np.abs(got.ravel()[far] - ref) <= bound)
+
+
+def test_complex_rate_or_scale_takes_the_complex_path():
+    spec = make_extension_spec(2, 1, 0.7)
+    f = domain_test_function(spec)
+    # above every r_switch, so eval_radial is the closed form alone
+    r = np.linspace(1.0, 20.0, 50)
+    mixed = f + RadialFunction(ExponentialSum([1e-3], [-1.0 + 0.5j]), 2)
+    for g in (f.rescaled(1j), mixed, continuous_eigenfunction(spec, 0.9).u):
+        rates, polys = term_data(g)
+        assert rates.dtype == polys.dtype == np.complex128
+        assert np.array_equal(eval_radial(g, r), _untiled_eval_terms(r, rates, polys))
+
+
+def test_eval_radial_memory_is_bounded_by_the_tiles():
+    # the 45k nodes apply_resolvent samples f on at its default r_max for
+    # |z| = 1.15, arg z = 0.15; whole-grid complex temporaries took 18.9 MB
+    f = domain_test_function(make_extension_spec(2, 1, 0.3))
+    r = np.linspace(0.01, 235.0, 45_000)
+    eval_radial(f, r[:10])
+    tracemalloc.start()
+    try:
+        eval_radial(f, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6

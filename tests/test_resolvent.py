@@ -497,3 +497,46 @@ def test_cached_coefficients_are_read_only():
     for values in (c.alpha, c.beta, c.gamma):
         with pytest.raises(ValueError):
             values[0] = 0.0
+
+
+# ------------------------------------------------ far factor and memory
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("z", Z_SAMPLES + (Z_APPLY,))
+def test_far_factor_equals_the_shifted_closed_form_bit_for_bit(l, z):
+    # G_k = g_k e^{-chi_k r} on the Gauss nodes that apply_resolvent
+    # integrates over at its default r_max and density: taken without the
+    # e^{0 r} pass, it must not move a value
+    from radialspec.quadrature import panel_rule
+    from radialspec.rayleigh import _eval_split
+    from radialspec.resolvent import _far_factor
+
+    chis = [g_rate(z, k) for k in range(3)]
+    r_max = 40.0 / min(-chi.real for chi in chis)
+    x = panel_rule(0.0, r_max, int(np.ceil(8 * r_max)))[0]
+    for k, chi in enumerate(chis):
+        gk = basis_g(l, z, k)
+        assert np.array_equal(_far_factor(gk, x), _eval_split(gk, x, 0, -chi))
+
+
+@pytest.mark.parametrize(
+    "l,xi,kappa,z,index",
+    [(1, 1, 0.5, 1.15 * np.exp(0.15j), 1), (2, 1, -1.0, 0.7 * np.exp(0.25j), 0)],
+)
+def test_apply_resolvent_memory_is_bounded(l, xi, kappa, z, index):
+    # 13 outputs at the default r_max (about 230, 45k nodes): f's samples and
+    # the per-term arrays are O(n), and no (n x terms) temporary is whole-grid
+    import tracemalloc
+
+    spec = make_extension_spec(l, xi, kappa)
+    f = _real_test_function(spec, index)
+    r = 1.2 + 0.15 * np.arange(-6.0, 7.0)
+    apply_resolvent(spec, z, f, r)
+    tracemalloc.start()
+    try:
+        apply_resolvent(spec, z, f, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
