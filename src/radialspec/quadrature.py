@@ -9,6 +9,7 @@ doubling, both checked against a stability tolerance.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,17 +27,44 @@ def _gauss_legendre(order: int):
     return x, w
 
 
+class PanelGrid(NamedTuple):
+    """Composite Gauss-Legendre over consecutive segments, one row per panel:
+    nodes and weights (panels, order), each panel's midpoint (panels,), and
+    each segment's half panel width (segments,)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    mid: np.ndarray
+    half: np.ndarray
+
+
+def panel_grid(a, b, npanels, order: int = GAUSS_ORDER) -> PanelGrid:
+    """Composite Gauss-Legendre on every segment [a_s, b_s], split into
+    npanels_s equal panels, in one pass.  The panel edges of a segment are
+    those of np.linspace(a_s, b_s, npanels_s + 1), so each segment's nodes and
+    weights equal a panel_rule(a_s, b_s, npanels_s) of its own bit for bit."""
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    n = np.asarray(npanels)
+    if not (np.all(b > a) and np.all(n >= 1)):
+        raise InvalidInput("a panel rule needs b > a and npanels >= 1")
+    x, w = _gauss_legendre(order)
+    step = (b - a) / n
+    seg = np.repeat(np.arange(n.size), n)
+    i = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    # linspace: edge i is i * step + a, and the last edge is b itself
+    s, lo = step[seg], a[seg]
+    right = np.where(i + 1 == n[seg], b[seg], (i + 1) * s + lo)
+    mid = 0.5 * (i * s + lo + right)
+    half = 0.5 * (np.where(n == 1, b, step + a) - a)
+    nodes = mid[:, None] + (half[:, None] * x)[seg]
+    weights = (half[:, None] * w)[seg]
+    return PanelGrid(nodes, weights, mid, half)
+
+
 def panel_rule(a: float, b: float, npanels: int, order: int = GAUSS_ORDER):
     """Nodes and weights of composite Gauss-Legendre on [a, b]."""
-    if not (b > a and npanels >= 1):
-        raise InvalidInput("panel_rule needs b > a and npanels >= 1")
-    x, w = _gauss_legendre(order)
-    edges = np.linspace(a, b, npanels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * x[None, :]).ravel()
-    weights = np.broadcast_to(half * w, (npanels, order)).ravel().copy()
-    return nodes, weights
+    grid = panel_grid([a], [b], [npanels], order)
+    return grid.nodes.ravel(), grid.weights.ravel()
 
 
 def quad_interval(f, a: float, b: float, npanels: int = 4, order: int = GAUSS_ORDER):

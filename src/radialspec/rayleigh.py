@@ -15,10 +15,11 @@ to the near-cancelling 1/r poles, so regular functions switch to an origin
 Taylor series there, evaluated as one product of its coefficients with the
 powers of r.
 
-The closed form runs in tiles of r, so its (points x terms) temporaries stay
-within _BLOCK_BYTES whatever the grid size; each point is computed in the
-same order in any tile (Horner in 1/r per term, times the exponential, then
-one sum over the terms), so tiling moves no value.  A sum whose rates and
+The closed form runs in tiles of r laid out as (terms x points), so every
+ufunc loops over the points and the temporaries stay within _BLOCK_BYTES
+whatever the grid size; each point is computed in the same order in any tile
+(Horner in 1/r per term, times the exponential, then a sum over the terms in
+term order), so tiling moves no value.  A sum whose rates and
 polynomial coefficients all have an exactly zero imaginary part runs in real
 arithmetic; eval_radial and derivative still return complex values.
 """
@@ -132,10 +133,8 @@ def r_switch(f: RadialFunction) -> float:
 def term_data(f: RadialFunction):
     """(rates, polys) arrays for the closed-form evaluator: float64 when every
     rate and coefficient has an exactly zero imaginary part, else complex128."""
-    polys = np.zeros((len(f.base), f.l + 1), np.complex128)
-    for k, chi in enumerate(f.base.rates):
-        polys[k] = f.scale * f.base.amplitudes[k] * exponential_poly(f.l, chi)
-    rates = np.asarray(f.base.rates, np.complex128)
+    rates = f.base.rates
+    polys = (f.scale * f.base.amplitudes)[:, None] * exponential_poly(f.l, rates)
     if rates.imag.any() or polys.imag.any():
         return rates, polys
     return rates.real.copy(), polys.real.copy()
@@ -153,26 +152,33 @@ def _horner_inv(polys, inv):
 def _eval_terms(r, rates, polys):
     """sum_k (sum_j polys[..., k, j] / r**j) * exp(rates[..., k] * r) at each point
     of a 1-d r.  Leading axes of rates (..., K) and polys (..., K, P) give one
-    row of values each.  Runs in tiles of r whose complex (..., rows, K)
+    row of values each.  Runs in tiles of r whose complex (..., K, points)
     temporaries stay within _BLOCK_BYTES; real rates and polys give real
     values."""
     out = np.empty(rates.shape[:-1] + r.shape, np.result_type(rates, polys))
-    rows = max(1, _BLOCK_BYTES // (16 * rates.size))
-    for first in range(0, r.size, rows):
-        tile = slice(first, first + rows)
-        out[..., tile] = _eval_tile(r[tile, None], rates, polys)
+    points = max(1, _BLOCK_BYTES // (16 * rates.size))
+    for first in range(0, r.size, points):
+        tile = slice(first, first + points)
+        out[..., tile] = _eval_tile(r[tile], rates, polys)
     return out
 
 
 def _eval_tile(tile, rates, polys):
-    """_eval_terms on one tile (rows, 1) of r; its temporaries die on return.
+    """_eval_terms on one tile of r, laid out as (..., terms, points) so that
+    every ufunc loops over the points; its temporaries die on return.
 
     Both factors of the product are named, so numpy never elides it into an
     unnamed temporary of 256 KiB or more: that would compute exp * q in
-    place, which its SIMD complex multiply rounds differently from q * exp."""
-    q = _horner_inv(polys[..., None, :, :], 1.0 / tile)
-    e = tile * rates[..., None, :]
-    return np.sum(q * np.exp(e, out=e), axis=-1)
+    place, which its SIMD complex multiply rounds differently from q * exp.
+    The terms are added one by one in term order: np.sum would add them
+    pairwise when a one-point tile makes the terms its inner loop."""
+    q = _horner_inv(polys[..., None, :], 1.0 / tile)
+    e = rates[..., None] * tile
+    terms = q * np.exp(e, out=e)
+    out = terms[..., 0, :]
+    for k in range(1, terms.shape[-2]):
+        out += terms[..., k, :]
+    return out
 
 
 def _eval_series(r, coefs):

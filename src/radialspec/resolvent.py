@@ -21,6 +21,14 @@ two-point boundary value problems", CPAM 44, 1991).  The cost is
 O(n_quad + n_out) with n_quad ~ 24 points_per_unit r_max nodes, against
 O(n_out n_quad) for a quadrature per point.
 
+The segment sums are factored per Gauss panel.  A segment is a run of
+equal-width panels, so the exponential of node x = mid_p + half t_j towards
+its output splits into one factor per panel and one per Gauss offset t_j of
+the segment: a call forms 3 (panels + 24 segments) complex exponentials, not
+3 n_quad.  The tails contract real rows x^-b f w with the offset factors by
+matrix products, in chunks of panels whose gathered factors fill one
+_BLOCK_BYTES block, so no complex pass runs over the grid.
+
 Everything is carried in scaled form.  With chi_k the rate of g_k
 (Re chi_k < 0), g_k e^{-chi_k r} and h_k e^{chi_k r} are bounded, the
 recurrences step by e^{chi_k dr} with |e^{chi_k dr}| <= 1, and kernel forms
@@ -52,8 +60,9 @@ from .errors import (
     PoleError,
     SectorError,
 )
-from .quadrature import panel_rule
+from .quadrature import GAUSS_ORDER, _gauss_legendre, panel_grid
 from .rayleigh import (
+    _BLOCK_BYTES,
     _eval_split,
     _horner_inv,
     derivative,
@@ -299,6 +308,11 @@ class KernelValue:
         return (abs(self.R0) + abs(self.R1) + abs(self.R2) + abs(self.Rg)) / abs(self.total)
 
 
+# g_{k+1} and g_{k+2} beside g_k, the partners of beta_k and gamma_k in h_k
+_NEXT = np.array([1, 2, 0])
+_AFTER = np.array([2, 0, 1])
+
+
 @functools.lru_cache(maxsize=_SETUP_CACHE, typed=True)
 def _kernel_rates(l: int, z):
     """(chi, p, c), read-only: the rates chi_k of g_k, the polynomial factors
@@ -325,16 +339,17 @@ def kernel(
     s = np.asarray(s, np.float64)
     lo, hi = np.minimum(r, s), np.maximum(r, s)
     # NaN propagates through both, so this rejects NaN, +-inf and r, s <= 0
-    if not ((lo > 0).all() and np.isfinite(hi).all()):
+    if not np.all((lo > 0) & (hi < np.inf)):
         raise DomainError("kernel requires finite r, s > 0")
     c = coefficients_closed_form(spec, z, allow_boundary)
     chi, p, ck = _kernel_rates(spec.l, z)
-    col = (3,) + (1,) * lo.ndim
+    alpha, beta, gamma = c.alpha, c.beta, c.gamma
+    if lo.ndim:
+        col = (3,) + (1,) * lo.ndim
+        p = p.reshape(p.shape[:1] + (1,) * lo.ndim + p.shape[1:])
+        chi, ck, alpha, beta, gamma = (v.reshape(col) for v in (chi, ck, alpha, beta, gamma))
     # polynomial factors at x = r_< (column 0) and x = r_> (column 1)
-    p = p.reshape(p.shape[:1] + (1,) * (lo.ndim + 1) + p.shape[1:])
-    q = _horner_inv(p, 1.0 / np.array((lo, hi)))
-    chi = chi.reshape(col)
-    ck = ck.reshape(col)
+    q = _horner_inv(p[:, None], 1.0 / np.array((lo, hi)))
     # R_k and the k-th term of Rg share the bounded factor
     # c_k P_g(r_>) e^{chi_k (r_> - r_<)}; Rg's g_k(r_>) is that factor times
     # e^{chi_k r_<}, so six exponentials serve every part
@@ -342,18 +357,13 @@ def kernel(
     g_lo = q[:3, 0] * e_lo
     shared = ck * q[:3, 1] * np.exp(chi * (hi - lo))
     parts = shared * q[3:, 0]
-    mix = (
-        c.alpha.reshape(col) * g_lo
-        + c.beta.reshape(col) * g_lo[[1, 2, 0]]
-        + c.gamma.reshape(col) * g_lo[[2, 0, 1]]
-    )
+    mix = alpha * g_lo + beta * g_lo[_NEXT] + gamma * g_lo[_AFTER]
     rg = shared * (mix * e_lo)
     rg = rg[0] + rg[1] + rg[2]
     total = parts[0] + parts[1] + parts[2] + rg
-    fields = (total, parts[0], parts[1], parts[2], rg)
     if lo.ndim == 0:
-        fields = tuple(complex(v) for v in fields)
-    return KernelValue(*fields)
+        return KernelValue(*np.array((total, *parts, rg)).tolist())
+    return KernelValue(total, parts[0], parts[1], parts[2], rg)
 
 
 def _far_factor(gk: RadialFunction, x) -> np.ndarray:
@@ -371,6 +381,56 @@ def _sweep(steps, sums) -> np.ndarray:
         acc = t * acc + v
         out.append(acc)
     return np.array(out, np.complex128)
+
+
+def _exponentials(chis, d) -> np.ndarray:
+    """e^{chi_k d} with k along a new trailing axis: every complex exponential
+    of apply_resolvent's segment sums."""
+    return np.exp(np.multiply.outer(d, chis))
+
+
+# panels per chunk of the segment sums: the offset factors gathered for one
+# chunk, (panels, GAUSS_ORDER, 3) complex, fill one _BLOCK_BYTES block
+_CHUNK_PANELS = max(1, _BLOCK_BYTES // (16 * GAUSS_ORDER * 3))
+
+
+def _panel_chunks(start: int, stop: int):
+    """Slices of at most _CHUNK_PANELS panels that cover [start, stop)."""
+    return (slice(i, min(i + _CHUNK_PANELS, stop)) for i in range(start, stop, _CHUNK_PANELS))
+
+
+def _inner_sums(hs, chis, x, fw, offsets, d):
+    """sum_j H_k(x_pj) fw_pj e^{chi_k (q - x_pj)} per panel p, shape
+    (panels, k), for the output q that ends p's segment: d = q - mid_p, and
+    offsets[p, j, k] = e^{chi_k half t_j} of the segment, taken mirrored
+    (the Gauss offsets are symmetric, t_{n-1-j} = -t_j).
+    H_k comes from _eval_split, so the origin series serves points near 0."""
+    out = _exponentials(chis, d)
+    for k, (hk, chi) in enumerate(zip(hs, chis)):
+        hf = _eval_split(hk, x.ravel(), 0, chi).reshape(x.shape) * fw
+        out[:, k] *= np.einsum("pj,pj->p", hf, offsets[:, ::-1, k])
+    return out
+
+
+def _tail_sums(polys, chis, x, fw, offsets, d):
+    """sum_j G_k(x_pj) fw_pj e^{chi_k (x_pj - q)} per panel p, shape
+    (panels, k), for the output q that starts p's segment: d = mid_p - q,
+    offsets[p, j, k] = e^{chi_k half t_j} of the segment and
+    G_k = sum_b polys[k, b] x^-b.  The real rows x^-b fw (real and imaginary
+    parts apart for a complex f) meet the offsets in one real matrix
+    product per panel, with no complex pass over the nodes."""
+    nb = polys.shape[1]
+    parts = (fw.real, fw.imag) if np.iscomplexobj(fw) else (fw,)
+    rows = np.empty((x.shape[0], len(parts) * nb, x.shape[1]))
+    inv = 1.0 / x
+    for i, part in enumerate(parts):
+        rows[:, i * nb] = part
+        for b in range(i * nb + 1, (i + 1) * nb):
+            rows[:, b] = rows[:, b - 1] * inv
+    y = np.matmul(rows, offsets.view(np.float64)).view(np.complex128)
+    if len(parts) == 2:
+        y = y[:, :nb] + 1j * y[:, nb:]
+    return _exponentials(chis, d) * np.einsum("kb,pbk->pk", polys, y)
 
 
 def apply_resolvent(
@@ -396,11 +456,20 @@ def apply_resolvent(
     A_i = e^{chi_k (q_i - q_{i-1})} A_{i-1} + S_i and its mirror image.
     G_k is the polynomial factor of D_l e^{chi_k r} alone (_far_factor).
 
-    Memory is O(n_quad): the grid, f's samples and a few per-k arrays.  The
-    closed forms of f (when f evaluates one), G_k and H_k run in tiles, so
-    no (n_quad x terms) array is formed: 13 outputs at the default r_max
-    (about 45k nodes) peak near 4 MB under tracemalloc, and r_max = 2500
-    (480k nodes) near 33 MB.
+    The panels of a segment have one width 2 half, so at node
+    x = mid_p + half t_j the exponential of a tail factors as
+    e^{chi_k (x - q)} = e^{chi_k (mid_p - q)} e^{chi_k half t_j}, and that of
+    an inner sum is its mirror image; both factors are bounded by
+    e^{|Re chi_k| half}.  The tails contract the real rows x^-b f w against
+    the offset factors by matrix products (_tail_sums); the inner sums
+    multiply H_k f w, from the closed form or the origin series near 0, by
+    them (_inner_sums).
+
+    Memory is O(n_quad) for the grid and f's samples; the sums run in
+    chunks of panels, and the closed forms of f (when f evaluates one) and
+    H_k run in tiles, so no (n_quad x terms) array is formed.  Peaks under
+    tracemalloc: 13 outputs at the default r_max (about 45k nodes) 3.1 MB,
+    and 1500 outputs with r_max = 2500 (480k nodes) 17-18 MB.
     """
     validate_sector(z, allow_boundary)
     scalar = np.isscalar(r)
@@ -409,7 +478,7 @@ def apply_resolvent(
         raise DomainError("apply_resolvent requires finite r > 0")
     if not (np.isfinite(points_per_unit) and points_per_unit > 0):
         raise InvalidInput("points_per_unit must be finite and positive")
-    chis, _, weights = _kernel_rates(spec.l, z)
+    chis, polys, weights = _kernel_rates(spec.l, z)
     if r_max is None:
         r_max = 40.0 / np.min(-chis.real)
     q, where = np.unique(rr.ravel(), return_inverse=True)
@@ -417,37 +486,31 @@ def apply_resolvent(
         return np.zeros(rr.shape, np.complex128)
     if not (np.isfinite(r_max) and r_max > q[-1]):
         raise DomainError("apply_resolvent requires a finite r_max > max(r)")
+    hs = [h_solution(spec, z, k, allow_boundary) for k in range(3)]
     m = q.size
     edges = np.concatenate(([0.0], q, [r_max]))
-    rules = [
-        panel_rule(a, b, max(1, int(np.ceil((b - a) * points_per_unit))))
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-    x = np.concatenate([nodes for nodes, _ in rules])
-    fw = np.concatenate([w for _, w in rules]) * f(x)
-    counts = np.array([nodes.size for nodes, _ in rules])
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    # segments 0..m-1 end at an output (inner integrals), 1..m start at one
-    # (tails); d_in and d_out are each node's distance to that output
-    x_in, fw_in = x[: starts[m]], fw[: starts[m]]
-    x_out, fw_out = x[starts[1] :], fw[starts[1] :]
-    d_in = np.repeat(q, counts[:m]) - x_in
-    d_out = x_out - np.repeat(q, counts[1:])
+    npanels = np.maximum(1, np.ceil(np.diff(edges) * points_per_unit)).astype(np.int64)
+    x, w, mid, half = panel_grid(edges[:-1], edges[1:], npanels)
+    fw = (w.ravel() * f(x.ravel())).reshape(x.shape)
+    # segments 0..m-1 end at an output (inner sums), 1..m start at one
+    # (tails): panels [0, first[m]) are inner, [first[1], end) tails
+    first = np.cumsum(npanels) - npanels
+    seg = np.repeat(np.arange(m + 1), npanels)
+    offsets = _exponentials(chis, np.multiply.outer(half, _gauss_legendre(GAUSS_ORDER)[0]))
+    inner = np.empty((first[m], 3), np.complex128)
+    for p in _panel_chunks(0, first[m]):
+        inner[p] = _inner_sums(hs, chis, x[p], fw[p], offsets[seg[p]], edges[seg[p] + 1] - mid[p])
+    tails = np.empty((seg.size, 3), np.complex128)  # rows first[1].. are used
+    for p in _panel_chunks(first[1], seg.size):
+        tails[p] = _tail_sums(polys[:3], chis, x[p], fw[p], offsets[seg[p]], mid[p] - edges[seg[p]])
+    s_in = np.add.reduceat(inner, first[:m])
+    s_out = np.add.reduceat(tails[first[1] :], first[1:] - first[1])
     u = np.zeros(m, np.complex128)
-    for k, (chi, ck) in enumerate(zip(chis, weights)):
-        gk = basis_g(spec.l, z, k, allow_boundary)
-        hk = h_solution(spec, z, k, allow_boundary)
-        s_in = np.add.reduceat(
-            _eval_split(hk, x_in, 0, chi) * np.exp(chi * d_in) * fw_in,
-            starts[:m],
-        )
-        s_out = np.add.reduceat(
-            _far_factor(gk, x_out) * np.exp(chi * d_out) * fw_out,
-            starts[1:] - starts[1],
-        )
+    for k, (chi, ck, hk) in enumerate(zip(chis, weights, hs)):
         steps = np.concatenate(([1.0], np.exp(chi * np.diff(q)))).tolist()
-        a = _sweep(steps, s_in.tolist())
-        b = _sweep(steps[:1] + steps[:0:-1], s_out.tolist()[::-1])[::-1]
+        a = _sweep(steps, s_in[:, k].tolist())
+        b = _sweep(steps[:1] + steps[:0:-1], s_out[::-1, k].tolist())[::-1]
+        gk = basis_g(spec.l, z, k, allow_boundary)
         u += ck * (_far_factor(gk, q) * a + _eval_split(hk, q, 0, chi) * b)
     out = u[where].reshape(rr.shape)
     return out[0] if scalar else out

@@ -33,8 +33,8 @@ before evaluating anything.
 
 forward returns the Parseval defect of f from its one projection, and
 remembers it for the last RadialFunction it projected, keyed by the cutoffs
-and f's content; parseval_check on that f and those cutoffs returns it
-without projecting f again, so a round trip projects once.
+(r_max and lam_max) and f's content; parseval_check on that f and those
+cutoffs returns it without projecting f again, so a round trip projects once.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import (
     GridError,
     InvalidInput,
 )
-from .quadrature import panel_rule
+from .quadrature import panel_grid, panel_rule
 from .rayleigh import eval_radial, t3_coefficients
 from .spectrum import _basis_matvec, _basis_rmatvec, bound_state
 
@@ -180,14 +180,20 @@ def spectral_rule(r_max: float, lam_max: float = DEFAULT_LAMBDA_MAX):
     # the last panel keeps the remainder, more than 1e-9 w: never empty or a sliver
     count = int(np.ceil((lam_max - join) / width - 1e-9)) - 1
     edges = [0.0, *np.geomspace(DEFAULT_LAMBDA_MIN, join, 13)]
-    rules = [panel_rule(a, b, 1) for a, b in zip(edges[:-1], edges[1:])]
-    offsets, panel_weights = panel_rule(0.0, width, 1)
+    # one Gauss panel each: the geometric stack, a width-w panel at 0 whose
+    # nodes are the offsets delta_j, and the last panel
+    single = panel_grid(
+        [*edges[:-1], 0.0, join + width * count],
+        [*edges[1:], width, lam_max],
+        np.ones(len(edges) + 1, np.int64),
+    )
+    nodes, weights = single.nodes, single.weights
     starts = join + width * np.arange(count)
-    uniform = starts[:, None] + _on_multiples(offsets, q)
-    rules.append((uniform.ravel(), np.tile(panel_weights, count)))
-    rules.append(panel_rule(join + width * count, lam_max, 1))
-    nodes, weights = zip(*rules)
-    return np.concatenate(nodes), np.concatenate(weights)
+    uniform = starts[:, None] + _on_multiples(nodes[-2], q)
+    return (
+        np.concatenate((nodes[:-2].ravel(), uniform.ravel(), nodes[-1])),
+        np.concatenate((weights[:-2].ravel(), np.tile(weights[-2], count), weights[-1])),
+    )
 
 
 def _project(spec: ExtensionSpec, rn, rw, fw, r_max: float, lam_max: float):
@@ -331,17 +337,22 @@ def apply_function(
     return out
 
 
-def parseval_check(spec: ExtensionSpec, f, r_max: float = None) -> float:
-    """Relative defect | ||f||^2 - (int c^2 + c_d^2) | / ||f||^2, at forward's
-    default lam_max: the one forward just computed for this RadialFunction
-    and r_max, else from a new projection."""
+def parseval_check(
+    spec: ExtensionSpec,
+    f,
+    r_max: float = None,
+    lam_max: float = DEFAULT_LAMBDA_MAX,
+) -> float:
+    """Relative defect | ||f||^2 - (int c^2 + c_d^2) | / ||f||^2 on forward's
+    grid for these cutoffs: the one forward just computed for this
+    RadialFunction, r_max and lam_max, else from a new projection."""
     if r_max is None:
         r_max = _default_r_max(f)
-    key = _defect_key(spec, f, r_max, DEFAULT_LAMBDA_MAX)
+    key = _defect_key(spec, f, r_max, lam_max)
     last_key, defect = _last_defect[0]
     if key is not None and key == last_key:
         return defect
-    return forward(spec, f, r_max).parseval_defect
+    return forward(spec, f, r_max, lam_max).parseval_defect
 
 
 @lru_cache(maxsize=None)

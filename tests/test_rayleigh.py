@@ -269,21 +269,41 @@ def test_t3_termwise_matches_expanded_operator():
 
 
 def _untiled_eval_terms(r, rates, polys):
-    """The closed-form evaluator before it was tiled: whole-grid (n x K)
-    temporaries, kept as the reference the tiles must reproduce bit for bit.
+    """The closed-form evaluator without tiles: whole-grid (terms x points)
+    temporaries in the per-point order of the tiles (Horner in 1/r per term,
+    times the exponential, then a sum over the terms in term order), kept as
+    the reference the tiles must reproduce bit for bit.
 
     The exponential is named: as an unnamed temporary of 256 KiB or more,
     numpy's temporary elision computes the product in place as exp * q, and
     its SIMD complex multiply rounds exp * q and q * exp differently, so the
     values of the untiled product would depend on the size of the grid."""
-    inv = 1.0 / r[:, None]
+    inv = 1.0 / r
     npow = polys.shape[-1]
-    shape = rates.shape[:-1] + (r.shape[0], rates.shape[-1])
-    q = np.broadcast_to(polys[..., None, :, npow - 1], shape).copy()
+    shape = rates.shape + r.shape
+    q = np.broadcast_to(polys[..., None, npow - 1], shape).copy()
     for j in range(npow - 2, -1, -1):
+        q = q * inv + polys[..., None, j]
+    e = np.exp(rates[..., None] * r)
+    terms = q * e
+    out = terms[..., 0, :]
+    for k in range(1, rates.shape[-1]):
+        out = out + terms[..., k, :]
+    return out
+
+
+def _points_by_terms_eval(r, rates, polys):
+    """The evaluator's former layout, whole-grid (points x terms), summed by
+    np.sum along the terms: for 8 or more terms numpy adds them pairwise,
+    not in term order, so its values differ from the tiles' at rounding
+    level, within 4 eps times the sum of the terms' moduli."""
+    inv = 1.0 / r[:, None]
+    q = polys[..., None, :, -1]
+    for j in range(polys.shape[-1] - 2, -1, -1):
         q = q * inv + polys[..., None, :, j]
     e = np.exp(r[:, None] * rates[..., None, :])
-    return np.sum(q * e, axis=-1)
+    terms = q * e
+    return np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)
 
 
 # (leading axes, terms K, coefficients P); K = 1 with no leading axes is
@@ -304,6 +324,8 @@ def test_tiled_eval_terms_equals_untiled_bit_for_bit(lead, nterms, npow, tiles):
     got = _eval_terms(r, rates, polys)
     assert got.shape == lead + (n,)
     assert np.array_equal(got, _untiled_eval_terms(r, rates, polys))
+    old, size = _points_by_terms_eval(r, rates, polys)
+    assert np.all(np.abs(got - old) <= 4.0 * np.finfo(float).eps * size)
 
 
 def _kappa_classes(l):
@@ -344,7 +366,10 @@ def test_complex_rate_or_scale_takes_the_complex_path():
     for g in (f.rescaled(1j), mixed, continuous_eigenfunction(spec, 0.9).u):
         rates, polys = term_data(g)
         assert rates.dtype == polys.dtype == np.complex128
-        assert np.array_equal(eval_radial(g, r), _untiled_eval_terms(r, rates, polys))
+        got = eval_radial(g, r)
+        assert np.array_equal(got, _untiled_eval_terms(r, rates, polys))
+        old, size = _points_by_terms_eval(r, rates, polys)
+        assert np.all(np.abs(got - old) <= 4.0 * np.finfo(float).eps * size)
 
 
 def test_eval_radial_memory_is_bounded_by_the_tiles():

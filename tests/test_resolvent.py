@@ -540,3 +540,68 @@ def test_apply_resolvent_memory_is_bounded(l, xi, kappa, z, index):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("z", Z_SAMPLES)
+def test_kernel_rows_equal_term_data_bit_for_bit(l, z):
+    # kernel and eval_radial(basis_g(...)) build D_l e^{+-chi r}'s polynomial
+    # factors through one numpy path, so they round alike
+    from radialspec.rayleigh import term_data
+    from radialspec.resolvent import _kernel_rates
+
+    rows = _kernel_rates(l, z)[1]
+    for k in range(3):
+        assert np.array_equal(rows[k], term_data(basis_g(l, z, k))[1][0])
+        assert np.array_equal(rows[3 + k], term_data(basis_d(l, z, k))[1][0])
+
+
+def test_apply_resolvent_factors_its_exponentials(monkeypatch):
+    # 13 outputs at the default r_max (about 45k nodes): the segment sums
+    # take one complex exponential per panel and per Gauss offset of a
+    # segment, not one per node and k.  Counted: the factors, and every
+    # term of the closed forms of h_k (inner nodes and outputs) and g_k
+    from radialspec import resolvent
+
+    counts, nodes = [], []
+    exponentials, eval_split = resolvent._exponentials, resolvent._eval_split
+
+    def counted_exponentials(chis, d):
+        counts.append(np.size(chis) * np.size(d))
+        return exponentials(chis, d)
+
+    def counted_eval_split(fn, r, order, shift=0.0):
+        counts.append(len(fn.base) * np.size(r))
+        return eval_split(fn, r, order, shift)
+
+    monkeypatch.setattr(resolvent, "_exponentials", counted_exponentials)
+    monkeypatch.setattr(resolvent, "_eval_split", counted_eval_split)
+    spec = make_extension_spec(1, 1, 0.5)
+    z = 1.15 * np.exp(0.15j)
+    f = _real_test_function(spec, 1)
+    r = 1.2 + 0.15 * np.arange(-6.0, 7.0)
+    got = apply_resolvent(spec, z, lambda s: nodes.append(np.size(s)) or f(s), r)
+    n_quad = nodes[0]
+    assert n_quad > 40_000
+    assert 0 < sum(counts) < 3 * n_quad / 5
+    ref = _loop_apply_resolvent(spec, z, f, r[::4])
+    assert np.max(np.abs(got[::4] - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_apply_resolvent_is_linear_over_a_complex_f():
+    # a complex f takes its real and imaginary rows apart through the tails
+    spec = make_extension_spec(2, 2, 0.8)
+    f = _real_test_function(spec, 0)
+    g = _real_test_function(spec, 2)
+    r = np.array([0.3, 1.1, 4.0])
+    both = apply_resolvent(spec, Z_APPLY, lambda s: f(s) + 1j * g(s), r)
+    parts = apply_resolvent(spec, Z_APPLY, f, r) + 1j * apply_resolvent(spec, Z_APPLY, g, r)
+    assert np.max(np.abs(both - parts)) <= 1e-14 * np.max(np.abs(parts))
+
+
+def test_apply_resolvent_at_the_pole_never_samples_f():
+    spec = make_extension_spec(1, 1, -1.0)
+    calls = []
+    with pytest.raises(PoleError):
+        apply_resolvent(spec, pole_location(spec), lambda s: calls.append(s) or s, [0.5, 1.0])
+    assert calls == []

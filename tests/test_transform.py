@@ -318,6 +318,17 @@ def test_parseval_check_after_forward_does_not_project(monkeypatch, r_max):
     assert np.array_equal(again.c, coeffs.c)
 
 
+def test_parseval_check_at_a_given_lam_max_does_not_project(monkeypatch):
+    spec, f = _memo_case()
+    calls = _counted_projections(monkeypatch)
+    coeffs = forward(spec, f, lam_max=24.0)
+    assert parseval_check(spec, f, lam_max=24.0) == coeffs.parseval_defect
+    assert len(calls) == 1
+    # the default lam_max is another grid, so it projects again
+    parseval_check(spec, f)
+    assert len(calls) == 2
+
+
 def _changed(f, index):
     amps = f.base.amplitudes.copy()
     amps[index] = complex(np.nextafter(amps[index].real, np.inf), amps[index].imag)
