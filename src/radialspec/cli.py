@@ -219,7 +219,10 @@ def cmd_transform(args) -> int:
             validate_sector(z)
             phi = lambda x: 1.0 / (x - z**6)
         out = apply_function(spec, phi, f)
-        write_rows(args.output, args.format, ("r", "phi_T_f"), zip(out.grid, np.real(out.values)))
+        header, cols = ("r", "phi_T_f"), (out.values,)
+        if np.iscomplexobj(out.values):
+            header, cols = ("r", "re_phi_T_f", "im_phi_T_f"), (out.values.real, out.values.imag)
+        write_rows(args.output, args.format, header, zip(out.grid, *cols))
     return EXIT_OK
 
 

@@ -141,11 +141,15 @@ def term_data(f: RadialFunction):
 
 
 def _horner_inv(polys, inv):
-    """sum_j polys[..., j] * inv**j by Horner's rule.  Products are formed
-    out of place: numpy's in-place complex multiply may round differently."""
-    q = polys[..., -1]
-    for j in range(polys.shape[-1] - 2, -1, -1):
-        q = q * inv + polys[..., j]
+    """sum_j polys[..., j] * inv**j (j = 0..P-1, P >= 2) by Horner's rule,
+    in one buffer.  inv must be real: each complex product is then
+    (a + bi) c, which rounds the same in place or out of place, where a
+    complex-by-complex product may not."""
+    q = polys[..., -1] * inv
+    for j in range(polys.shape[-1] - 2, 0, -1):
+        q += polys[..., j]
+        q *= inv
+    q += polys[..., 0]
     return q
 
 

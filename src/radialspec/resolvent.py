@@ -68,7 +68,6 @@ from .rayleigh import (
     derivative,
     eval_radial,
     exponential_poly,
-    term_data,
 )
 
 
@@ -118,14 +117,22 @@ PRINTED_TABLE_ERRATA = {
     ((2, 1), 1, "beta"): (2.0 * _phase(1 / 3), 2.0 * _phase(-1 / 6)),
 }
 
-# Test-harness hook: when set to ((xi, l), k, name) the closed-form
-# coefficient's sign is flipped, so the oracle-equivalence suite must fire.
-_COEFF_INJECTION = None
+# A pristine copy of CLOSED_TABLE, which set_coefficient_injection restores.
+_CLOSED_TABLE = dict(CLOSED_TABLE)
 
 
 def set_coefficient_injection(entry):
-    global _COEFF_INJECTION
-    _COEFF_INJECTION = entry
+    """Test hook: negate the CLOSED_TABLE numerator pair of entry =
+    ((xi, l), k, "alpha" | "beta" | "gamma"), so that coefficient is exactly
+    -value and the oracle-equivalence suite must fire; None restores it."""
+    CLOSED_TABLE.update(_CLOSED_TABLE)
+    if entry is not None:
+        family, k, name = entry
+        rows = [list(row) for row in CLOSED_TABLE[family]]
+        col = ("alpha", "beta", "gamma").index(name)
+        rows[k][col] = tuple(-v for v in rows[k][col])
+        CLOSED_TABLE[family] = rows
+    _coefficients.cache_clear()
 
 
 def validate_sector(z: complex, allow_boundary: bool = False) -> complex:
@@ -226,7 +233,7 @@ def coefficients_closed_form(
     the key: a complex and an np.complex128 z round z**pw differently.  Its
     alpha, beta and gamma are shared between callers and read-only.
     """
-    return _coefficients(spec, z, allow_boundary, _COEFF_INJECTION)
+    return _coefficients(spec, z, allow_boundary)
 
 
 # Small on purpose: the reuse that pays is within one grid or apply at one z,
@@ -235,7 +242,7 @@ _SETUP_CACHE = 64
 
 
 @functools.lru_cache(maxsize=_SETUP_CACHE, typed=True)
-def _coefficients(spec: ExtensionSpec, z, allow_boundary: bool, injection) -> CoefficientSet:
+def _coefficients(spec: ExtensionSpec, z, allow_boundary: bool) -> CoefficientSet:
     validate_sector(z, allow_boundary)
     p = _checked_denominator(spec, z)
     pw = KAPPA_POWER[(spec.xi, spec.l)]
@@ -244,10 +251,7 @@ def _coefficients(spec: ExtensionSpec, z, allow_boundary: bool, injection) -> Co
     out = {"alpha": np.empty(3, complex), "beta": np.empty(3, complex), "gamma": np.empty(3, complex)}
     for k in range(3):
         for name, (az, ak) in zip(("alpha", "beta", "gamma"), CLOSED_TABLE[(spec.xi, spec.l)][k]):
-            val = (az * zp + ak * kp) / p
-            if injection == ((spec.xi, spec.l), k, name):
-                val = -val
-            out[name][k] = val
+            out[name][k] = (az * zp + ak * kp) / p
     for values in out.values():
         values.setflags(write=False)
     return CoefficientSet(out["alpha"], out["beta"], out["gamma"], p)
@@ -366,14 +370,6 @@ def kernel(
     return KernelValue(total, parts[0], parts[1], parts[2], rg)
 
 
-def _far_factor(gk: RadialFunction, x) -> np.ndarray:
-    """G_k = g_k e^{-chi_k x} at x > 0: the polynomial factor of
-    D_l e^{chi_k x}, by Horner in 1/x with no exponential pass.  Its
-    coefficients come from term_data(gk), so the values are those of
-    _eval_split(gk, x, 0, -chi_k) bit for bit."""
-    return _horner_inv(term_data(gk)[1][0], 1.0 / x)
-
-
 def _sweep(steps, sums) -> np.ndarray:
     """acc_i = steps_i acc_{i-1} + sums_i from acc_{-1} = 0."""
     out, acc = [], 0j
@@ -454,7 +450,8 @@ def apply_resolvent(
     B_i = int_{q_i}^{r_max} e^{chi_k (s - q_i)} G_k f ds
     follow from one sum per segment between outputs by the recurrences
     A_i = e^{chi_k (q_i - q_{i-1})} A_{i-1} + S_i and its mirror image.
-    G_k is the polynomial factor of D_l e^{chi_k r} alone (_far_factor).
+    G_k is the polynomial factor of D_l e^{chi_k r} alone: a Horner pass in
+    1/q over _kernel_rates' coefficients, with no exponential.
 
     The panels of a segment have one width 2 half, so at node
     x = mid_p + half t_j the exponential of a tail factors as
@@ -510,8 +507,7 @@ def apply_resolvent(
         steps = np.concatenate(([1.0], np.exp(chi * np.diff(q)))).tolist()
         a = _sweep(steps, s_in[:, k].tolist())
         b = _sweep(steps[:1] + steps[:0:-1], s_out[::-1, k].tolist())[::-1]
-        gk = basis_g(spec.l, z, k, allow_boundary)
-        u += ck * (_far_factor(gk, q) * a + _eval_split(hk, q, 0, chi) * b)
+        u += ck * (_horner_inv(polys[k], 1.0 / q) * a + _eval_split(hk, q, 0, chi) * b)
     out = u[where].reshape(rr.shape)
     return out[0] if scalar else out
 

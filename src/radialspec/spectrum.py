@@ -14,20 +14,21 @@ not a square root of p/conj(p), with p the resolvent denominator that
 resolvent._denominator states for every family.
 
 On a lambda grid and an r grid the continuous basis U[i, j] = u^{lambda_i}(r_j)
-comes in memory-bounded tiles (_basis_blocks), and the transform's two
-contractions c = U x and f = y U never form it (_basis_matvec,
-_basis_rmatvec).  On Gauss panels of equal width whose nodes are exact sums
-lambda = a_p + delta_j, as transform.spectral_rule places its uniform panels,
-e^{rho lambda r} splits into a factor per panel and a factor per shared node
-offset, so beyond r = 4 / lambda each power r^-b of the D_l polynomial is one
-matrix product over r.  That cut is taken per run of panels (one tile of
-rows below the cut each), so panels at large lambda are factored from small
-radii.  That part costs O((n_panels + 24) n_r) exponentials plus the
-products, against O(n_lambda n_r) for the tiles, which keep the other panels
-and smaller radii; one loop over groups of lambda rows runs both.  Both
-evaluate the two exponentials of a closed-form pair, e^{i lambda r} and the
-decaying e^{rho_1 lambda r}, from one complex exponential e^{i lambda r / 2}
-and one real one.  What a row needs besides r (its closed-form terms, origin
+comes in memory-bounded tiles from one walk (_tiles, yielded by
+_basis_blocks), and the transform's two contractions c = U x and f = y U
+never form it (_basis_matvec, _basis_rmatvec).  On Gauss panels of equal
+width whose nodes are exact sums lambda = a_p + delta_j, as
+transform.spectral_rule places its uniform panels, e^{rho lambda r} splits
+into a factor per panel and a factor per shared node offset, so beyond
+r = 4 / lambda each power r^-b of the D_l polynomial is one matrix product
+over r.  That cut is taken per run of panels (one tile of rows below the cut
+each), so panels at large lambda are factored from small radii.  That part
+costs O((n_panels + 24) n_r) exponentials plus the products, against
+O(n_lambda n_r) for the tiles, which keep the other panels and smaller
+radii; it is one transpose pair (_SharedPanels.matvec, rmatvec) applied per
+part of panels after the part's tiles.  Both evaluate the two exponentials
+of a closed-form pair, e^{i lambda r} and the decaying e^{rho_1 lambda r},
+from one complex exponential e^{i lambda r / 2} and one real one.  What a row needs besides r (its closed-form terms, origin
 series, switch radius and canonical sign) depends on (spec, lambda) alone, so
 it is built for the whole lambda grid and cached per (spec, lambda grid)
 across calls (_row_setup): a forward and the inverse on its grid build it
@@ -49,6 +50,7 @@ from .rayleigh import (
     SWITCH_SCALE,
     _BLOCK_BYTES,
     _eval_series,
+    _horner_inv,
     _series_coefficients,
     dl_exponential,
     eval_radial,
@@ -221,13 +223,7 @@ def _split_rows(r, radii, lam, tilt, polys, coefs):
         inv = 1.0 / far
         e0, e1 = _pair_exponentials(np.multiply.outer(lam, far), tilt)
         for k, e in enumerate((e0, e1)):
-            # Horner in 1/r, in place, then into the exponential's own buffer
-            q = np.multiply.outer(polys[:, k, -1], inv)
-            for j in range(polys.shape[-1] - 2, 0, -1):
-                q += polys[:, k, j, None]
-                q *= inv
-            q += polys[:, k, 0, None]
-            e *= q
+            e *= _horner_inv(polys[:, k, None, :], inv)
         e0 += e1
         out[:, lo:] = 2.0 * e0.real
     if hi > 0:
@@ -282,25 +278,21 @@ def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
     return (radii, lam, tilt, polys, coefs), signs
 
 
-def _row_blocks(setup, idx, ncols: int):
-    """Yield (rows, terms, signs) over blocks of the rows idx of a _row_setup,
-    rows indexing idx: as many rows as a tile of ncols columns allows, at
-    least _MIN_ROWS and at most a chunk of the sign scan.  The blocks slice
-    the set-up, which is O(n_lambda) and cached per (spec, lambda grid)."""
+def _tiles(setup, idx, r):
+    """Yield (rows, cols, U) over tiles of the rows idx of a _row_setup at
+    sorted r >= 0, U the basis at the lambdas idx[rows] and radii r[cols]: a
+    block holds as many rows as a tile of all of r allows, at least _MIN_ROWS
+    and at most a chunk of the sign scan, and slices the cached set-up."""
     (radii, lam, tilt, polys, coefs), signs = setup
-    height = max(_MIN_ROWS, _TILE_PAIRS // max(ncols, _SIGN_SCAN.size))
+    height = max(_MIN_ROWS, _TILE_PAIRS // max(r.size, _SIGN_SCAN.size))
     for start in range(0, idx.size, height):
         rows = slice(start, start + height)
         at = idx[rows]
-        yield rows, (radii[at], lam[at], tilt, polys[at], coefs[at]), signs[at]
-
-
-def _row_tiles(terms, signs, r):
-    """Yield (cols, U) over column tiles of one row block at sorted r >= 0."""
-    width = _TILE_PAIRS // len(signs)
-    for first in range(0, r.size, width):
-        cols = slice(first, min(first + width, r.size))
-        yield cols, signs * _split_rows(r[cols], *terms)
+        terms = (radii[at], lam[at], tilt, polys[at], coefs[at])
+        width = _TILE_PAIRS // at.size
+        for first in range(0, r.size, width):
+            cols = slice(first, min(first + width, r.size))
+            yield rows, cols, signs[at] * _split_rows(r[cols], *terms)
 
 
 def _basis_blocks(spec: ExtensionSpec, lam, r):
@@ -317,10 +309,7 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
     coefficients.
     """
     lam = _checked_lambda(lam)
-    setup = _row_setup(spec, lam.tobytes())
-    for rows, terms, signs in _row_blocks(setup, np.arange(lam.size), r.size):
-        for cols, u in _row_tiles(terms, signs, r):
-            yield rows, cols, u
+    yield from _tiles(_row_setup(spec, lam.tobytes()), np.arange(lam.size), r)
 
 
 # ------------------------------------------------ the factored basis
@@ -411,11 +400,11 @@ class _SharedPanels:
             yield _SharedPanels(self.rows[nodes], self.first[panels], self.offsets, self.cuts[panels])
 
     def runs(self):
-        """Yield (at, cut): the positions at in self.rows of each stretch of
-        panels with one cut."""
+        """Yield (idx, cut): the rows idx of lambda of each stretch of panels
+        with one cut."""
         ends = np.append(np.flatnonzero(np.diff(self.cuts)) + 1, self.cuts.size)
         for start, stop in zip(np.append(0, ends[:-1]), ends):
-            yield np.arange(start * GAUSS_ORDER, stop * GAUSS_ORDER), int(self.cuts[start])
+            yield self.rows[start * GAUSS_ORDER : stop * GAUSS_ORDER], int(self.cuts[start])
 
     def tiles(self, tilt, r):
         """Yield (cols, E, D) over tiles of the columns r from the smallest cut
@@ -430,23 +419,30 @@ class _SharedPanels:
                 ek[below] = 0.0
             yield cols, e, _pair_exponentials(np.multiply.outer(self.offsets, rc), tilt)
 
-    def sums(self, tilt, npow: int, r, x):
-        """S[k, p, b, j] = sum_r x(r) r^-b e^{rho_k (a_p + delta_j) r} over the
-        columns from panel p's cut on: one matrix product over r per (k, b)
-        and tile."""
-        out = np.zeros((2, self.first.size, npow, GAUSS_ORDER), np.complex128)
+    def matvec(self, amps, tilt, r, x):
+        """c_i = sum_r u^{lambda_i}(r) x(r) over the columns from each panel's
+        cut on, for the rows lambda_i = a_p + delta_j (i = p GAUSS_ORDER + j),
+        amps[i, k, b] the coefficient of r^-b e^{rho_k lambda_i r} in row i:
+        per-panel sums S[k, p, b, j], one matrix product per (k, b) and tile."""
+        npow = amps.shape[2]
+        sums = np.zeros((2, self.first.size, npow, GAUSS_ORDER), np.complex128)
         for cols, e, d in self.tiles(tilt, r):
             for b, xb in enumerate(_powers(r[cols], npow) * x[cols]):
                 for k in range(2):
-                    out[k, :, b] += e[k] @ (d[k] * xb).T
-        return out
+                    sums[k, :, b] += e[k] @ (d[k] * xb).T
+        far = amps * sums.transpose(1, 3, 0, 2).reshape(amps.shape)
+        return 2.0 * np.sum(far, axis=(1, 2)).real
 
-    def synthesis(self, tilt, z, r):
-        """f(r) = 2 Re sum_{k, p, b, j} z[k, p, b, j] r^-b e^{rho_k (a_p + delta_j) r}
-        on the columns from panel p's cut on, the transpose of sums."""
+    def rmatvec(self, amps, tilt, r, y):
+        """f(r) = sum_i y_i u^{lambda_i}(r) over the columns from each panel's
+        cut on, the transpose of matvec: the coefficient of
+        r^-b e^{rho_k (a_p + delta_j) r} is z[k, p, b, j] = amps[i, k, b] y_i."""
+        npow = amps.shape[2]
+        z = (amps * y[:, None, None]).reshape(self.first.size, GAUSS_ORDER, 2, npow)
+        z = z.transpose(2, 0, 3, 1)
         acc = np.zeros(r.size, np.complex128)
         for cols, e, d in self.tiles(tilt, r):
-            for b, rb in enumerate(_powers(r[cols], z.shape[2])):
+            for b, rb in enumerate(_powers(r[cols], npow)):
                 for k in range(2):
                     acc[cols] += rb * np.einsum("wj,jw->w", e[k].T @ z[k, :, b], d[k])
         return 2.0 * acc.real
@@ -457,44 +453,37 @@ def _powers(r, npow: int):
     return r ** -np.arange(npow, dtype=np.float64)[:, None]
 
 
-def _amplitudes(terms, signs):
-    """A[i, k, b]: the signed coefficient of r^-b e^{rho_k lambda_i r} in row i."""
-    return signs[:, :, None] * terms[3]
-
-
 def _row_groups(lam, r):
     """Yield (part, runs): a _SharedPanels part (None for the rows left wholly
-    to the tiles) and its runs (idx, cut, at).  The rows idx of lam are tiled
-    on the columns r[:cut], and sit at positions at of part.rows, whose sums
-    factor the columns beyond each panel's cut."""
+    to the tiles) and its runs [(idx, cut), ...].  The rows idx of lam are
+    tiled on the columns r[:cut], and the part factors the columns beyond
+    each of its panels' cuts."""
     shared = _SharedPanels.find(lam, r)
     direct = np.arange(lam.size)
     if shared is not None:
         direct = np.setdiff1d(direct, shared.rows, assume_unique=True)
-    yield None, [(direct, r.size, None)]
+    yield None, [(direct, r.size)]
     if shared is not None:
         for part in shared.parts():
-            yield part, [(part.rows[at], cut, at) for at, cut in part.runs()]
+            yield part, part.runs()
 
 
 def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
     """c = U x for the basis U of _basis_blocks at sorted r >= 0 and real x,
     without forming U: the shared panels' columns beyond their cuts by the
-    factored sums, everything else by tiles."""
+    factored sums, everything else by tiles.  Each row adds its tiles first,
+    then its factored sums, whose amplitudes are signs * polys of its row."""
     lam = _checked_lambda(lam)
     setup = _row_setup(spec, lam.tobytes())
-    tilt, c = _tilt(spec), np.zeros(lam.size)
+    (_, _, tilt, polys, _), signs = setup
+    c = np.zeros(lam.size)
     for part, runs in _row_groups(lam, r):
+        for idx, cut in runs:
+            for rows, cols, u in _tiles(setup, idx, r[:cut]):
+                c[idx[rows]] += u @ x[cols]
         if part is not None:
-            sums = part.sums(tilt, spec.l + 1, r, x)
-        for idx, cut, at in runs:
-            for rows, terms, signs in _row_blocks(setup, idx, cut):
-                for cols, u in _row_tiles(terms, signs, r[:cut]):
-                    c[idx[rows]] += u @ x[cols]
-                if part is not None:
-                    p, j = np.divmod(at[rows], GAUSS_ORDER)
-                    far = _amplitudes(terms, signs) * sums[:, p, :, j]
-                    c[idx[rows]] += 2.0 * np.sum(far, axis=(1, 2)).real
+            amps = signs[part.rows, :, None] * polys[part.rows]
+            c[part.rows] += part.matvec(amps, tilt, r, x)
     return c
 
 
@@ -503,20 +492,15 @@ def _basis_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
     split between factored sums and tiles as in _basis_matvec."""
     lam = _checked_lambda(lam)
     setup = _row_setup(spec, lam.tobytes())
-    tilt, f = _tilt(spec), np.zeros(r.size)
+    (_, _, tilt, polys, _), signs = setup
+    f = np.zeros(r.size)
     for part, runs in _row_groups(lam, r):
+        for idx, cut in runs:
+            for rows, cols, u in _tiles(setup, idx, r[:cut]):
+                f[cols] += y[idx[rows]] @ u
         if part is not None:
-            # z[k, p, b, j]: the coefficient of r^-b e^{rho_k (a_p + delta_j) r}
-            z = np.zeros((2, part.first.size, spec.l + 1, GAUSS_ORDER), np.complex128)
-        for idx, cut, at in runs:
-            for rows, terms, signs in _row_blocks(setup, idx, cut):
-                for cols, u in _row_tiles(terms, signs, r[:cut]):
-                    f[cols] += y[idx[rows]] @ u
-                if part is not None:
-                    p, j = np.divmod(at[rows], GAUSS_ORDER)
-                    z[:, p, :, j] += _amplitudes(terms, signs) * y[idx[rows], None, None]
-        if part is not None:
-            f += part.synthesis(tilt, z, r)
+            amps = signs[part.rows, :, None] * polys[part.rows]
+            f += part.rmatvec(amps, tilt, r, y[part.rows])
     return f
 
 

@@ -31,6 +31,9 @@ inverse on its grid build it once.  inverse checks its SpectralCoefficients
 (1-d, one length, real, finite, a discrete part only with a bound state)
 before evaluating anything.
 
+inverse and apply_function share one synthesis (_synthesis), so phi(T) f
+keeps its imaginary part where phi is complex, and is real where phi is.
+
 forward returns the Parseval defect of f from its one projection, and
 remembers it for the last RadialFunction it projected, keyed by the cutoffs
 (r_max and lam_max) and f's content; parseval_check on that f and those
@@ -273,19 +276,27 @@ def _checked_coefficients(coeffs: SpectralCoefficients):
     return out
 
 
+def _synthesis(spec: ExtensionSpec, lam, y, cd, r_grid) -> np.ndarray:
+    """sum_i y_i u^{lam_i}(r) + cd Re v(r) at r_grid, for the weighted
+    coefficients y, real or complex, and the discrete part cd (None without
+    one) on the bound state v.  Im y takes its own contraction, run only when
+    it is non-zero; the values are float64 when every imaginary part is
+    zero."""
+    f = _basis_rmatvec(spec, lam, r_grid, np.real(y))
+    if np.any(np.imag(y)):
+        f = f + 1j * _basis_rmatvec(spec, lam, r_grid, np.imag(y))
+    if cd is not None:
+        f = f + cd * np.real(eval_radial(bound_state(spec).v, r_grid))
+    return f if np.any(np.imag(f)) else np.real(f)
+
+
 def inverse(spec: ExtensionSpec, coeffs: SpectralCoefficients, r_grid) -> SampledFunction:
     """Reconstruct f(r) = integral c(lambda) u^lambda(r) dlambda + discrete part."""
     lam, lw, c = _checked_coefficients(coeffs)
-    b = None
-    if coeffs.c_discrete is not None:
-        b = bound_state(spec)
-        if b is None:
-            raise InvalidInput("c_discrete given for an extension without a bound state")
+    if coeffs.c_discrete is not None and bound_state(spec) is None:
+        raise InvalidInput("c_discrete given for an extension without a bound state")
     r_grid = _checked_grid(r_grid)
-    acc = _basis_rmatvec(spec, lam, r_grid, lw * c)
-    if b is not None:
-        acc += coeffs.c_discrete * np.real(eval_radial(b.v, r_grid))
-    return SampledFunction(r_grid, acc)
+    return SampledFunction(r_grid, _synthesis(spec, lam, lw * c, coeffs.c_discrete, r_grid))
 
 
 def apply_function(
@@ -298,8 +309,10 @@ def apply_function(
 ):
     """phi(T) f through the spectral representation; phi maps the spectrum.
 
-    The spectral cutoff defaults to twice the transform's: growing maps like
-    phi(x) = x weight the tail of c(lambda) by lambda^6.
+    The values are complex where phi is: phi(x) = 1 / (x - z^6) gives the
+    resolvent's complex values.  The spectral cutoff defaults to twice the
+    transform's: growing maps like phi(x) = x weight the tail of c(lambda)
+    by lambda^6.
     """
     if r_max is None:
         r_max = _default_r_max(f)
@@ -326,15 +339,8 @@ def apply_function(
                 f"phi undefined at the discrete eigenvalue {b.energy}"
             )
         cd = cd * at_bound
-    scaled = SpectralCoefficients(
-        coeffs.lam_grid, coeffs.lam_weights, np.real(mapped * coeffs.c), None
-    )
-    out = inverse(spec, scaled, r_grid)
-    if cd is not None:
-        b = bound_state(spec)
-        vals = out.values + np.real(cd * eval_radial(b.v, r_grid))
-        out = SampledFunction(out.grid, vals)
-    return out
+    y = coeffs.lam_weights * (mapped * coeffs.c)
+    return SampledFunction(r_grid, _synthesis(spec, coeffs.lam_grid, y, cd, r_grid))
 
 
 def parseval_check(

@@ -334,6 +334,45 @@ def test_transform_sqrt_negative_spectrum_exit(capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_transform_phi_resolvent_writes_both_parts(capsys, fmt):
+    # a complex phi(T) f gets a real and an imaginary column, equal to the
+    # library's values to the 17 digits written
+    from radialspec import apply_function, domain_test_function, make_extension_spec
+
+    code, out, _ = run(
+        capsys,
+        "transform", "--l", "1", "--xi", "2", "--kappa", "-0.8",
+        "--mode", "phi", "--phi", "resolvent", "--format", fmt,
+    )
+    assert code == 0
+    if fmt == "csv":
+        lines = out.splitlines()
+        assert lines[0] == "r,re_phi_T_f,im_phi_T_f"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    else:
+        records = json.loads(out)
+        assert list(records[0]) == ["r", "re_phi_T_f", "im_phi_T_f"]
+        rows = np.array([list(rec.values()) for rec in records])
+    z = 0.5 + 0.5j
+    spec = make_extension_spec(1, 2, -0.8)
+    ref = apply_function(spec, lambda x: 1.0 / (x - z**6), domain_test_function(spec, 0))
+    assert np.array_equal(rows[:, 0], ref.grid)
+    assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], ref.values)
+    assert np.max(np.abs(ref.values.imag)) > 0.5 * np.max(np.abs(ref.values))
+
+
+def test_transform_phi_identity_keeps_one_column(capsys):
+    code, out, _ = run(
+        capsys,
+        "transform", "--l", "1", "--xi", "1", "--kappa", "0.7",
+        "--mode", "phi", "--phi", "identity",
+    )
+    assert code == 0
+    assert out.startswith("r,phi_T_f\n")
+    assert all(line.count(",") == 1 for line in out.splitlines())
+
+
 def test_output_file_write(tmp_path, capsys):
     path = tmp_path / "out.csv"
     code, _, _ = run(

@@ -506,18 +506,19 @@ def test_cached_coefficients_are_read_only():
 @pytest.mark.parametrize("z", Z_SAMPLES + (Z_APPLY,))
 def test_far_factor_equals_the_shifted_closed_form_bit_for_bit(l, z):
     # G_k = g_k e^{-chi_k r} on the Gauss nodes that apply_resolvent
-    # integrates over at its default r_max and density: taken without the
-    # e^{0 r} pass, it must not move a value
+    # integrates over at its default r_max and density: taken as a Horner
+    # pass over _kernel_rates' coefficients, without the e^{0 r} pass, it
+    # must not move a value
     from radialspec.quadrature import panel_rule
-    from radialspec.rayleigh import _eval_split
-    from radialspec.resolvent import _far_factor
+    from radialspec.rayleigh import _eval_split, _horner_inv
+    from radialspec.resolvent import _kernel_rates
 
-    chis = [g_rate(z, k) for k in range(3)]
+    chis, polys, _ = _kernel_rates(l, z)
     r_max = 40.0 / min(-chi.real for chi in chis)
     x = panel_rule(0.0, r_max, int(np.ceil(8 * r_max)))[0]
     for k, chi in enumerate(chis):
         gk = basis_g(l, z, k)
-        assert np.array_equal(_far_factor(gk, x), _eval_split(gk, x, 0, -chi))
+        assert np.array_equal(_horner_inv(polys[k], 1.0 / x), _eval_split(gk, x, 0, -chi))
 
 
 @pytest.mark.parametrize(

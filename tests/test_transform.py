@@ -269,6 +269,38 @@ def test_apply_resolvent_map_matches_kernel_route():
     assert np.max(np.abs(via_spectrum.values - np.real(via_kernel))) < 1e-4 * scale
 
 
+@pytest.mark.parametrize(
+    "l,xi,kappa",
+    [(1, 1, 0.7), (1, 2, -0.8), (2, 1, 1.2), (2, 2, 0.5), (2, 1, "inf")],
+)
+def test_apply_complex_map_keeps_the_imaginary_part(l, xi, kappa):
+    # at z = 0.5 + 0.5i, phi(x) = 1 / (x - z^6) is complex on the spectrum,
+    # and phi(T) f is the complex R(z) f, whose imaginary part is as large as
+    # its real part; dropping it errs by about max |R(z) f|
+    spec = make_extension_spec(l, xi, kappa)
+    z = 0.5 + 0.5j
+    f = domain_test_function(spec)
+    grid = np.linspace(0.3, 8.0, 20)
+    via_spectrum = apply_function(spec, lambda x: 1.0 / (x - z**6), f, r_grid=grid)
+    via_kernel = apply_resolvent(spec, z, lambda s: np.real(eval_radial(f, s)), grid)
+    scale = np.max(np.abs(via_kernel))
+    assert np.max(np.abs(via_kernel.imag)) > 0.5 * scale
+    assert np.max(np.abs(via_spectrum.values - via_kernel)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("kappa", [0.4, -0.6])
+def test_apply_unit_map_is_the_inverse_bit_for_bit(kappa):
+    # phi = 1 synthesizes the coefficients as they are, with the bound
+    # state's term for kappa < 0: the same values as inverse, and real
+    spec = make_extension_spec(2, 1, kappa)
+    assert (bound_state(spec) is not None) == (kappa < 0)
+    f = domain_test_function(spec)
+    out = apply_function(spec, lambda x: 1.0, f, r_grid=R_GRID)
+    ref = inverse(spec, forward(spec, f, lam_max=16.0), R_GRID)
+    assert out.values.dtype == np.float64
+    assert out.values.tobytes() == ref.values.tobytes()
+
+
 def test_parseval_zero_function():
     spec = make_extension_spec(1, 2, 0.0)
     assert parseval_check(spec, lambda r: np.zeros_like(np.asarray(r)), r_max=10.0) == 0.0
