@@ -67,8 +67,28 @@ def panel_rule(a: float, b: float, npanels: int, order: int = GAUSS_ORDER):
     return grid.nodes.ravel(), grid.weights.ravel()
 
 
-def quad_interval(f, a: float, b: float, npanels: int = 4, order: int = GAUSS_ORDER):
+# quad_interval keeps the last _RULE_CACHE rules of at most _CACHED_NODES
+# nodes, 256 KB of nodes and weights each: quad_semiaxis asks for the same
+# few rules again and again, and larger ones are rebuilt on every call so
+# that the cache never holds more than 16 MB
+_CACHED_NODES = 1 << 14
+_RULE_CACHE = 64
+
+
+@lru_cache(maxsize=_RULE_CACHE)
+def _cached_rule(a: float, b: float, npanels: int, order: int):
+    """Read-only panel_rule(a, b, npanels, order)."""
     nodes, weights = panel_rule(a, b, npanels, order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def quad_interval(f, a: float, b: float, npanels: int = 4, order: int = GAUSS_ORDER):
+    """Composite Gauss-Legendre sum of f over [a, b].  f receives the nodes
+    read-only when the rule is small enough to be cached."""
+    rule = _cached_rule if npanels * order <= _CACHED_NODES else panel_rule
+    nodes, weights = rule(float(a), float(b), npanels, order)
     return np.sum(weights * np.asarray(f(nodes)))
 
 

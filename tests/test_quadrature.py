@@ -69,6 +69,42 @@ def test_quad_interval_oscillatory():
     assert abs(val - 10.0 / 101.0) < 1e-12
 
 
+def test_quad_interval_reuses_a_read_only_rule_bit_for_bit():
+    from radialspec.quadrature import _cached_rule
+
+    _cached_rule.cache_clear()
+    seen = []
+
+    def f(r):
+        seen.append(r)
+        return np.exp(-r)
+
+    # an int end point keys the same rule as the float one
+    values = [quad_interval(f, 0.0, 7.5, 12), quad_interval(f, 0, 7.5, 12)]
+    assert values[0] == values[1]
+    info = _cached_rule.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert seen[1] is seen[0]
+    nodes, weights = panel_rule(0.0, 7.5, 12)
+    assert np.array_equal(seen[0], nodes)
+    assert values[0] == np.sum(weights * np.exp(-nodes))
+    with pytest.raises(ValueError):
+        seen[0][0] = 1.0
+
+
+def test_quad_interval_cache_is_bounded():
+    from radialspec.quadrature import _CACHED_NODES, _cached_rule
+
+    assert 0 < _cached_rule.cache_info().maxsize <= 64
+    _cached_rule.cache_clear()
+    seen = []
+    npanels = _CACHED_NODES // 24 + 1
+    quad_interval(lambda r: seen.append(r) or np.exp(-r), 0.0, 50.0, npanels)
+    # a rule above _CACHED_NODES nodes is built per call and never kept
+    assert _cached_rule.cache_info().currsize == 0
+    assert seen[0].size == 24 * npanels and seen[0].flags.writeable
+
+
 def test_quad_semiaxis_exponential():
     assert abs(quad_semiaxis(lambda r: np.exp(-r), 1.0) - 1.0) < 1e-10
 

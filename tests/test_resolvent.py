@@ -327,31 +327,76 @@ def test_kernel_large_r_matches_mpmath(l, xi, kappa):
     assert abs(kv.total - ref) <= 1e-10 * abs(ref)
 
 
-@pytest.mark.parametrize("l,xi,kappa", [(1, 2, 0.8), (2, 1, -0.6), (2, 2, "inf")])
+# every (l, xi) family with kappa > 0, = 0, < 0, and infinity where l = 2
+BROADCAST_SPECS = [
+    (l, xi, kappa)
+    for l, xi in ALL_PAIRS
+    for kappa in (0.8, 0.0, -0.6, "inf")
+    if l == 2 or kappa != "inf"
+]
+# z near both sector edges and inside it; the two closed-boundary z that
+# spectrum passes with allow_boundary=True, arg z = 0 and arg z = pi/3
+BROADCAST_Z = [
+    (1.1 * np.exp(0.3j), False),
+    (0.8 * np.exp(1e-4j), False),
+    (1.3 * np.exp(1j * (np.pi / 3 - 1e-4)), False),
+    (complex(0.9), True),
+    (0.9 * np.exp(1j * np.pi / 3), True),
+]
+# a scalar r or s as each type a caller may pass
+SCALAR_TYPES = (float, np.float64, np.array)
+
+
+@pytest.mark.parametrize("l,xi,kappa", BROADCAST_SPECS)
 def test_kernel_broadcast_equals_scalar_calls(l, xi, kappa):
     spec = make_extension_spec(l, xi, kappa)
-    z = 1.1 * np.exp(0.3j)
-    grid = np.linspace(0.1, 6.0, 9)
-    kv = kernel(spec, z, grid[:, None], grid[None, :])
-    row = kernel(spec, z, grid, 1.7)
-    for i, r in enumerate(grid):
-        for j, s in enumerate(grid):
-            one = kernel(spec, z, float(r), float(s))
-            for name in ("total", "R0", "R1", "R2", "Rg"):
-                assert isinstance(getattr(one, name), complex)
-                assert getattr(kv, name)[i, j] == getattr(one, name)
-        assert row.total[i] == kernel(spec, z, float(r), 1.7).total
-    assert kv.total.shape == (9, 9)
+    names = ("total", "R0", "R1", "R2", "Rg")
+    grid = np.linspace(0.1, 6.0, 7)
+    for z, allow_boundary in BROADCAST_Z:
+        kv = kernel(spec, z, grid[:, None], grid[None, :], allow_boundary)
+        assert kv.total.shape == (7, 7)
+        row = kernel(spec, z, grid, 1.7, allow_boundary)
+        for i, r in enumerate(grid):
+            # j = i is r == s; the grid's transpose covers the swapped pair
+            for j, s in enumerate(grid):
+                one = kernel(spec, z, float(r), float(s), allow_boundary)
+                swapped = kernel(spec, z, float(s), float(r), allow_boundary)
+                for name in names:
+                    assert type(getattr(one, name)) is complex
+                    assert getattr(one, name) == getattr(kv, name)[i, j]
+                    assert getattr(swapped, name) == getattr(kv, name)[j, i]
+                    assert getattr(swapped, name) == getattr(one, name)
+            assert kernel(spec, z, float(r), 1.7, allow_boundary).total == row.total[i]
+        for make in SCALAR_TYPES:
+            one = kernel(spec, z, make(grid[2]), make(grid[5]), allow_boundary)
+            for name in names:
+                assert type(getattr(one, name)) is complex
+                assert getattr(one, name) == getattr(kv, name)[2, 5]
+        # integer points, also as a 0-d integer array
+        ints = np.array([2.0, 3.0])
+        kv = kernel(spec, z, ints[:, None], ints[None, :], allow_boundary)
+        for make in SCALAR_TYPES + (int,):
+            one = kernel(spec, z, make(2), make(3), allow_boundary)
+            for name in names:
+                assert type(getattr(one, name)) is complex
+                assert getattr(one, name) == getattr(kv, name)[0, 1]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
 def test_kernel_rejects_nonfinite_points(bad):
     spec = make_extension_spec(2, 1, 0.5)
     z = np.exp(0.3j)
-    with pytest.raises(DomainError):
-        kernel(spec, z, bad, 1.0)
+    for make in SCALAR_TYPES:
+        # a bad r or a bad s, each beside a good point below and above it
+        for good in (0.5, 2.0):
+            with pytest.raises(DomainError):
+                kernel(spec, z, make(bad), make(good))
+            with pytest.raises(DomainError):
+                kernel(spec, z, make(good), make(bad))
     with pytest.raises(DomainError):
         kernel(spec, z, 1.0, np.array([0.5, bad]))
+    with pytest.raises(DomainError):
+        kernel(spec, z, np.array([0.5, bad]), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -405,9 +450,9 @@ def test_kernel_cancellation_flags_the_origin_elementwise():
 
 
 def _setup_caches():
-    from radialspec.resolvent import _coefficients, _kernel_rates
+    from radialspec.resolvent import _coefficients, _kernel_rates, _kernel_setup
 
-    return _coefficients, _kernel_rates
+    return _coefficients, _kernel_rates, _kernel_setup
 
 
 def test_setup_caches_are_bounded():
@@ -418,13 +463,17 @@ def test_setup_caches_are_bounded():
 def test_kernel_grid_builds_the_setup_once():
     spec = make_extension_spec(2, 2, 0.5)
     z = 1.05 * np.exp(0.45j)
-    before = [cache.cache_info().misses for cache in _setup_caches()]
     grid = np.linspace(0.2, 4.0, 20)
-    for r in grid:
-        for s in grid:
-            kernel(spec, z, float(r), float(s))
-    after = [cache.cache_info().misses for cache in _setup_caches()]
-    assert [b - a for a, b in zip(before, after)] == [1, 1]
+
+    def misses_of_a_grid():
+        before = [cache.cache_info().misses for cache in _setup_caches()]
+        for r in grid:
+            for s in grid:
+                kernel(spec, z, float(r), float(s))
+        return [cache.cache_info().misses - b for cache, b in zip(_setup_caches(), before)]
+
+    assert misses_of_a_grid() == [1, 1, 1]
+    assert misses_of_a_grid() == [0, 0, 0]
 
 
 def _setup_values(spec, z):
