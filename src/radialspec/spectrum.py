@@ -257,9 +257,10 @@ def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
     lam_bytes: the closed-form terms and origin series that _split_rows
     evaluates, and the canonical sign of each row (shape (n, 1)).  All of it
     depends on (spec, lambda) alone, so it is cached per (spec, lambda grid)
-    across calls, O(n_lambda) in memory, and its arrays are read-only; the
-    sign scan runs in chunks of rows whose temporaries each stay within
-    _BLOCK_BYTES."""
+    across calls, O(n_lambda) in memory, and its arrays are read-only.  The
+    sign scan takes the rows with one split on _SIGN_SCAN together, so no
+    scan point is evaluated in both of _split_rows's forms, in chunks whose
+    temporaries each stay within _BLOCK_BYTES."""
     lam = np.frombuffer(lam_bytes)
     pref, amps, rates, _ = _eigenfunction_terms(spec, lam)
     a = pref[:, None] * amps
@@ -268,11 +269,14 @@ def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
     polys = a[:, ::2, None] * exponential_poly(spec.l, rates[:, ::2])
     coefs = _series_coefficients(spec.l, a, rates, SERIES_ORDER).real
     signs = np.empty((lam.size, 1))
+    split = np.searchsorted(_SIGN_SCAN, radii, side="right")
     chunk = _TILE_PAIRS // _SIGN_SCAN.size
-    for start in range(0, lam.size, chunk):
-        rows = slice(start, start + chunk)
-        scan = _split_rows(_SIGN_SCAN, radii[rows], lam[rows], tilt, polys[rows], coefs[rows])
-        signs[rows, 0] = _canonical_signs(scan)
+    for at in range(_SIGN_SCAN.size + 1):
+        group = np.flatnonzero(split == at)
+        for start in range(0, group.size, chunk):
+            rows = group[start : start + chunk]
+            scan = _split_rows(_SIGN_SCAN, radii[rows], lam[rows], tilt, polys[rows], coefs[rows])
+            signs[rows, 0] = _canonical_signs(scan)
     for values in (radii, polys, coefs, signs):
         values.setflags(write=False)
     return (radii, lam, tilt, polys, coefs), signs
@@ -332,9 +336,11 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
 #
 # The cut is taken per run of panels, walking up from the lowest lambda: a run
 # starts at a panel and holds as many panels as one tile of its own cut's
-# columns allows (_TILE_PAIRS pairs), and every panel of the run takes the
+# columns allows (_TILE_PAIRS pairs), up to the first panel whose own cut is
+# below _RUN_FLOOR of the run's first, and every panel of the run takes the
 # run's largest cut (its first panel's, on an ascending grid), so each tiled
-# run is one rectangle and every factored node has lambda r >= _FACTOR_CUT.
+# run is one rectangle, every factored node has lambda r >= _FACTOR_CUT, and
+# a run's tiles evaluate at most 8/7 of the pairs its panels' own cuts need.
 # The factored sums of a part of up to 128 panels start at its smallest cut,
 # with E set to zero left of each panel's own cut.
 #
@@ -345,6 +351,8 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
 
 # first factored column: r >= _FACTOR_CUT / (smallest node of the run)
 _FACTOR_CUT = 4.0
+# a run of panels takes no panel whose own cut is below this share of its first's
+_RUN_FLOOR = 0.875
 # columns of one factored tile; a tile of E has at most
 # _BLOCK_BYTES / (16 _FACTOR_COLS) = 128 panels
 _FACTOR_COLS = 256
@@ -382,9 +390,10 @@ class _SharedPanels:
         own = np.searchsorted(r, _FACTOR_CUT / np.min(nodes[panels], axis=1))
         cuts, top = np.empty_like(own), 0
         while top < own.size:
-            run = slice(top, top + max(1, _TILE_PAIRS // (GAUSS_ORDER * max(own[top], 1))))
-            cuts[run] = np.max(own[run])
-            top = run.stop
+            run = own[top : top + max(1, _TILE_PAIRS // (GAUSS_ORDER * max(own[top], 1)))]
+            size = int(np.argmax(run < _RUN_FLOOR * run[0])) or run.size
+            cuts[top : top + size] = np.max(run[:size])
+            top += size
         if np.min(cuts) == r.size:
             return None
         rows = (panels[:, None] * GAUSS_ORDER + np.arange(GAUSS_ORDER)).ravel()
@@ -435,16 +444,19 @@ class _SharedPanels:
 
     def rmatvec(self, amps, tilt, r, y):
         """f(r) = sum_i y_i u^{lambda_i}(r) over the columns from each panel's
-        cut on, the transpose of matvec: the coefficient of
-        r^-b e^{rho_k (a_p + delta_j) r} is z[k, p, b, j] = amps[i, k, b] y_i."""
-        npow = amps.shape[2]
-        z = (amps * y[:, None, None]).reshape(self.first.size, GAUSS_ORDER, 2, npow)
-        z = z.transpose(2, 0, 3, 1)
-        acc = np.zeros(r.size, np.complex128)
+        cut on, the transpose of matvec, for each of the m rows of y (m, n):
+        the coefficient of r^-b e^{rho_k (a_p + delta_j) r} in row q is
+        z[k, p, b, q, j] = amps[i, k, b] y[q, i], and one product with E per
+        (k, b) and tile serves all m rows."""
+        m, npow, npanels = y.shape[0], amps.shape[2], self.first.size
+        z = (amps * y[:, :, None, None]).reshape(m, npanels, GAUSS_ORDER, 2, npow)
+        z = z.transpose(3, 1, 4, 0, 2).reshape(2, npanels, npow, m * GAUSS_ORDER)
+        acc = np.zeros((m, r.size), np.complex128)
         for cols, e, d in self.tiles(tilt, r):
             for b, rb in enumerate(_powers(r[cols], npow)):
                 for k in range(2):
-                    acc[cols] += rb * np.einsum("wj,jw->w", e[k].T @ z[k, :, b], d[k])
+                    t = (e[k].T @ z[k, :, b]).reshape(-1, m, GAUSS_ORDER)
+                    acc[:, cols] += rb * np.einsum("wqj,jw->qw", t, d[k])
         return 2.0 * acc.real
 
 
@@ -488,19 +500,21 @@ def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
 
 
 def _basis_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
-    """f = y U for the basis U of _basis_blocks at sorted r >= 0 and real y,
-    split between factored sums and tiles as in _basis_matvec."""
+    """f = y U for the basis U of _basis_blocks at sorted r >= 0 and the m
+    real rows of y (m, n_lambda), which each tile and factored part contract
+    at once; f has shape (m, r.size).  Split between factored sums and tiles
+    as in _basis_matvec."""
     lam = _checked_lambda(lam)
     setup = _row_setup(spec, lam.tobytes())
     (_, _, tilt, polys, _), signs = setup
-    f = np.zeros(r.size)
+    f = np.zeros((y.shape[0], r.size))
     for part, runs in _row_groups(lam, r):
         for idx, cut in runs:
             for rows, cols, u in _tiles(setup, idx, r[:cut]):
-                f[cols] += y[idx[rows]] @ u
+                f[:, cols] += y[:, idx[rows]] @ u
         if part is not None:
             amps = signs[part.rows, :, None] * polys[part.rows]
-            f += part.rmatvec(amps, tilt, r, y[part.rows])
+            f += part.rmatvec(amps, tilt, r, y[:, part.rows])
     return f
 
 

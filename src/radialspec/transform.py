@@ -8,11 +8,21 @@ c(lambda) = <u^lambda, f>, its inverse, phi(T) f for scalar maps phi, and a
 Parseval defect measurement.
 
 Everything integrates on composite Gauss-Legendre grids: radially a uniform
-panel rule, spectrally one panel on (0, lambda_min), a geometric stack above
+panel rule (radial_rule) sized from the largest frequency omega_max of the
+integrands, spectrally one panel on (0, lambda_min), a geometric stack above
 it (where densities vary fastest) joined to uniform panels narrow enough to
 resolve the oscillation e^{i lambda r_max}.  The rule starts at lambda = 0
 because c(lambda) need not vanish there: for xi=2, kappa=0 it tends to a
 nonzero constant (a zero-energy resonance).
+
+The radial panels are 24 / omega_max wide, which caps their half-panel
+phase at 12; a 24-node Gauss panel integrates e^{i omega' x} over [-1, 1] to
+1.5e-15 at omega' = 8, 2.8e-15 at 12, 2.8e-15 at 16, 3.2e-14 at 20 and
+8.1e-11 at 24.  For a RadialFunction f, whose terms e^{chi_k r} bound its
+frequency by rho_f = max |chi_k|, forward's integrands u^lambda f, v f and
+f^2 stay within omega_max = max(lam_max, rho_v, rho_f) + rho_f, with rho_v
+the bound state's largest |rate| (_frequency_bound); samples and callables
+carry no bound and keep 24 nodes per unit of r.
 
 On these grids the continuous part is linear algebra on the basis matrix
 U[i, j] = u^{lambda_i}(r_j): forward is c = U (f w) and inverse is
@@ -62,6 +72,11 @@ from .spectrum import _basis_matvec, _basis_rmatvec, bound_state
 DEFAULT_LAMBDA_MAX = 8.0
 # end of the first spectral panel (0, lambda_min) and start of the geometric stack
 DEFAULT_LAMBDA_MIN = 1e-3
+# the largest half-panel phase omega_max w / 2 of radial_rule's panels, 4 rad
+# below where the Gauss-24 error starts to climb
+_HALF_PANEL_PHASE = 12.0
+# omega_max of an integrand without a frequency bound: 24 nodes per unit of r
+_UNBOUNDED_OMEGA = 24.0
 
 
 @dataclass(frozen=True)
@@ -156,10 +171,30 @@ def _default_r_max(f):
     return 60.0
 
 
-def radial_rule(r_max: float, points_per_unit: float = 8.0):
-    """Composite Gauss nodes and weights on (0, r_max)."""
-    npanels = max(8, int(np.ceil(r_max * points_per_unit / 8.0)))
-    return panel_rule(0.0, r_max, npanels)
+def radial_rule(r_max: float, omega_max: float = _UNBOUNDED_OMEGA):
+    """Composite Gauss nodes and weights on (0, r_max) for integrands of
+    frequency at most omega_max: max(8, ceil(r_max / w)) equal 24-node
+    panels, w = 2 _HALF_PANEL_PHASE / omega_max, so no panel sees a
+    half-panel phase omega_max w / 2 above _HALF_PANEL_PHASE = 12.  A 24-node
+    Gauss panel integrates e^{i omega' x} over [-1, 1] to 1.5e-15 at
+    omega' = 8, 2.8e-15 at 12, 2.8e-15 at 16, 3.2e-14 at 20 and 8.1e-11 at
+    24.  The default omega_max, for integrands of unknown frequency, gives
+    24 nodes per unit of r."""
+    width = 2.0 * _HALF_PANEL_PHASE / omega_max
+    return panel_rule(0.0, r_max, max(8, int(np.ceil(r_max / width))))
+
+
+def _frequency_bound(f, b, lam_max: float) -> float:
+    """The largest frequency omega_max of the integrands on forward's radial
+    rule, u^lambda f (lambda <= lam_max), v f and f^2: with rho_f = max |chi_k|
+    over the rates of a RadialFunction f, and rho_v that of the bound state
+    b.v (0 when b is None), max(lam_max, rho_v, rho_f) + rho_f.  Samples and
+    callables carry no bound and get _UNBOUNDED_OMEGA."""
+    if not isinstance(f, RadialFunction):
+        return _UNBOUNDED_OMEGA
+    rho_f = float(np.max(np.abs(f.base.rates)))
+    rho_v = 0.0 if b is None else float(np.max(np.abs(b.v.base.rates)))
+    return max(lam_max, rho_v, rho_f) + rho_f
 
 
 def _on_multiples(x, q):
@@ -199,12 +234,12 @@ def spectral_rule(r_max: float, lam_max: float = DEFAULT_LAMBDA_MAX):
     )
 
 
-def _project(spec: ExtensionSpec, rn, rw, fw, r_max: float, lam_max: float):
+def _project(spec: ExtensionSpec, b, rn, rw, fw, r_max: float, lam_max: float):
     """Coefficients of the weighted samples fw = f(rn) rw at the sorted radial
-    nodes rn, with the Parseval defect of f against them."""
+    nodes rn, with the Parseval defect of f against them; b is the bound
+    state of spec or None."""
     lam, lw = spectral_rule(r_max, lam_max)
     c = _basis_matvec(spec, lam, rn, np.real(fw))
-    b = bound_state(spec)
     cd = None
     if b is not None:
         cd = float(np.real(np.sum(eval_radial(b.v, rn) * fw)))
@@ -246,9 +281,10 @@ def forward(
     if r_max is None:
         r_max = _default_r_max(f)
     _check_cutoffs(r_max, lam_max)
-    rn, rw = radial_rule(r_max)
+    b = bound_state(spec)
+    rn, rw = radial_rule(r_max, _frequency_bound(f, b, lam_max))
     fw = np.asarray(_as_callable(f)(rn)) * rw
-    coeffs = _project(spec, rn, rw, fw, r_max, lam_max)
+    coeffs = _project(spec, b, rn, rw, fw, r_max, lam_max)
     key = _defect_key(spec, f, r_max, lam_max)
     if key is not None:
         _last_defect[0] = (key, coeffs.parseval_defect)
@@ -279,12 +315,14 @@ def _checked_coefficients(coeffs: SpectralCoefficients):
 def _synthesis(spec: ExtensionSpec, lam, y, cd, r_grid) -> np.ndarray:
     """sum_i y_i u^{lam_i}(r) + cd Re v(r) at r_grid, for the weighted
     coefficients y, real or complex, and the discrete part cd (None without
-    one) on the bound state v.  Im y takes its own contraction, run only when
-    it is non-zero; the values are float64 when every imaginary part is
-    zero."""
-    f = _basis_rmatvec(spec, lam, r_grid, np.real(y))
+    one) on the bound state v.  A non-zero Im y rides along with Re y as a
+    second row of the one contraction; the values are float64 when every
+    imaginary part is zero."""
     if np.any(np.imag(y)):
-        f = f + 1j * _basis_rmatvec(spec, lam, r_grid, np.imag(y))
+        re, im = _basis_rmatvec(spec, lam, r_grid, np.stack((y.real, y.imag)))
+        f = re + 1j * im
+    else:
+        (f,) = _basis_rmatvec(spec, lam, r_grid, np.real(y)[None])
     if cd is not None:
         f = f + cd * np.real(eval_radial(bound_state(spec).v, r_grid))
     return f if np.any(np.imag(f)) else np.real(f)

@@ -164,15 +164,29 @@ def test_factored_contractions_match_tiles(l, xi, kappa, r_max, lam_max):
     assert shared is not None and np.min(shared.cuts) < r.size
     c_ref, f_ref = _tile_contractions(spec, lam, r, x, y)
     c = _basis_matvec(spec, lam, r, x)
-    f = _basis_rmatvec(spec, lam, r, y)
+    (f,) = _basis_rmatvec(spec, lam, r, y[None])
     assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
     assert np.max(np.abs(f - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
+
+
+@pytest.mark.parametrize("l,xi,kappa", BASIS_CASES)
+def test_rmatvec_rows_match_one_row_at_a_time(l, xi, kappa):
+    # _basis_rmatvec contracts all rows of y with each tile and factored part
+    # at once (a complex synthesis passes [Re y; Im y]); each row agrees with
+    # its own one-row contraction to round-off
+    spec = make_extension_spec(l, xi, kappa)
+    lam, lw = spectral_rule(70.6, 16.0)
+    r = np.linspace(0.05, 70.6, 400)
+    y = lw * np.random.default_rng(0).standard_normal((2, lam.size))
+    for row, f in zip(y, _basis_rmatvec(spec, lam, r, y)):
+        (alone,) = _basis_rmatvec(spec, lam, r, row[None])
+        assert np.max(np.abs(f - alone)) <= 1e-15 * np.max(np.abs(alone))
 
 
 def test_basis_set_up_once_per_lambda_grid(monkeypatch):
     # the (spec, lambda) set-up of the basis rows (terms, series, sign) is
     # made once for the whole lambda grid, not once per block of tile rows,
-    # and cached per (spec, lambda grid): a slot-0-sized forward (n_r = 1704,
+    # and cached per (spec, lambda grid): a slot-0-sized forward (n_r = 840,
     # many 16-row blocks and several runs of shared panels) builds the terms
     # once, its 500-point inverse on the same grid not at all, and a forward
     # on another r_max (another lambda grid) once more
@@ -186,8 +200,12 @@ def test_basis_set_up_once_per_lambda_grid(monkeypatch):
     monkeypatch.setattr(spectrum, "_eigenfunction_terms", terms)
     spec = make_extension_spec(2, 2, 0.0)
     f = domain_test_function(spec, 1, 0.4)
-    assert radial_rule(transform._default_r_max(f))[0].size == 1704
+    nodes = []
+    monkeypatch.setattr(
+        transform, "radial_rule", lambda *args: nodes.append(radial_rule(*args)) or nodes[-1]
+    )
     coeffs = forward(spec, f)
+    assert [rn.size for rn, _ in nodes] == [840]
     assert calls == [coeffs.lam_grid.size]
     calls.clear()
     inverse(spec, coeffs, np.linspace(0.05, 30.0, 500))
@@ -223,7 +241,7 @@ def test_warm_setup_contracts_like_a_cold_one(l, xi, kappa):
 
     calls = (
         lambda: _basis_matvec(spec, lam, r, x).tobytes(),
-        lambda: _basis_rmatvec(spec, lam, r, y).tobytes(),
+        lambda: _basis_rmatvec(spec, lam, r, y[None]).tobytes(),
         lambda: [u.tobytes() for _, _, u in _basis_blocks(spec, lam, r[::5])],
     )
     cold = []
@@ -254,7 +272,8 @@ def test_spectral_rule_places_uniform_panels_exactly():
 def test_shared_panels_are_the_uniform_panels():
     # all full-width uniform panels of the spectral rule share their offsets
     # exactly, and each run of them, walked up from the lowest lambda, is
-    # factored from the cut of its first panel; grids without two such
+    # factored from the cut of its first panel and ends before the first
+    # panel whose own cut is below 7/8 of that; grids without two such
     # panels, or without a radius beyond any cut, stay on the tiles
     for r_max, lam_max in CONTRACTION_GRIDS:
         lam = spectral_rule(r_max, lam_max)[0]
@@ -272,11 +291,14 @@ def test_shared_panels_are_the_uniform_panels():
         top = 0
         while top < cuts.size:
             n = max(1, spectrum._TILE_PAIRS // (24 * own[top]))
-            run = cuts[top : top + n]
+            size = 1
+            while size < n and top + size < cuts.size and 8 * own[top + size] >= 7 * own[top]:
+                size += 1
+            run = cuts[top : top + size]
             assert np.all(run == own[top])
             if run.size > 1:
                 assert 24 * run.size * run[0] <= spectrum._TILE_PAIRS
-            top += n
+            top += size
     r = radial_rule(10.5)[0]
     lam = spectral_rule(10.5)[0]
     assert spectrum._SharedPanels.find(lam[:-1], r) is None
@@ -307,7 +329,7 @@ def test_panels_one_ulp_off_stay_on_the_tiles(l, xi, kappa):
     y = lw * np.exp(-0.3 * lam) * np.sin(3.0 * lam + 0.2)
     c_ref, f_ref = _tile_contractions(spec, lam, r, x, y)
     c = _basis_matvec(spec, lam, r, x)
-    f = _basis_rmatvec(spec, lam, r, y)
+    (f,) = _basis_rmatvec(spec, lam, r, y[None])
     assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
     assert np.max(np.abs(f - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
 

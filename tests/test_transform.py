@@ -478,8 +478,26 @@ def test_domain_test_function_null_space_matches_scipy():
 # eigenfunction object and one eval_radial call per lambda node.
 
 
+def _forward_rule(spec, f, r_max, lam_max=DEFAULT_LAMBDA_MAX):
+    """The radial rule forward integrates f on for these cutoffs."""
+    return radial_rule(r_max, transform._frequency_bound(f, bound_state(spec), lam_max))
+
+
+def _recorded_radial_nodes(monkeypatch):
+    """The node count of every rule built through transform.radial_rule."""
+    sizes = []
+
+    def recorded(*args):
+        rule = radial_rule(*args)
+        sizes.append(rule[0].size)
+        return rule
+
+    monkeypatch.setattr(transform, "radial_rule", recorded)
+    return sizes
+
+
 def _loop_forward(spec, f, r_max, lam_max=DEFAULT_LAMBDA_MAX):
-    rn, rw = radial_rule(r_max)
+    rn, rw = _forward_rule(spec, f, r_max, lam_max)
     fv = np.real(eval_radial(f, rn)) * rw
     lam, lw = spectral_rule(r_max, lam_max)
     c = np.empty(lam.shape)
@@ -501,7 +519,7 @@ def _loop_inverse(spec, coeffs, r_grid):
 
 
 def _loop_parseval(spec, f, r_max):
-    rn, rw = radial_rule(r_max)
+    rn, rw = _forward_rule(spec, f, r_max)
     norm2 = float(np.sum(rw * np.real(eval_radial(f, rn)) ** 2))
     coeffs = _loop_forward(spec, f, r_max)
     total = float(np.sum(coeffs.lam_weights * coeffs.c**2))
@@ -555,9 +573,9 @@ def test_blocked_transform_matches_loop_across_r_tiles():
     f = domain_test_function(spec, 0, 0.6)
     grid = np.linspace(0.05, 40.0, 1500)
     tile = spectrum._BLOCK_BYTES // 32 // spectrum._MIN_ROWS
-    assert radial_rule(45.0)[0].size > tile and grid.size > tile
-    coeffs = forward(spec, f, r_max=45.0, lam_max=1.0)
-    assert _rel(coeffs.c, _loop_forward(spec, f, 45.0, 1.0).c) <= 1e-12
+    assert _forward_rule(spec, f, 140.0, 1.0)[0].size > tile and grid.size > tile
+    coeffs = forward(spec, f, r_max=140.0, lam_max=1.0)
+    assert _rel(coeffs.c, _loop_forward(spec, f, 140.0, 1.0).c) <= 1e-12
     assert _rel(inverse(spec, coeffs, grid).values, _loop_inverse(spec, coeffs, grid)) <= 1e-12
 
 
@@ -593,7 +611,8 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
     # largest grid (r_max 70.6), through the pair exponentials and the origin
     # series; the factors E and D of the factored sums are counted apart and
     # left out.  About a fifth stay on the tiles in a slot-0 forward, and
-    # about a quarter in its 500-point inverse on (0.05, 30)
+    # about a quarter in its 500-point inverse on (0.05, 30).  The forward
+    # starts from a cold row set-up, so its counts include the sign scan
     pairs, near, factored = [], [], []
 
     def exponentials(theta, tilt):
@@ -619,9 +638,11 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
     assert not hasattr(spectrum, "_eval_terms")
     spec = make_extension_spec(2, 2, 0.0)
     f = domain_test_function(spec, 1, 0.4)
+    nodes = _recorded_radial_nodes(monkeypatch)
+    spectrum._row_setup.cache_clear()
     coeffs = forward(spec, f)
-    n_r = radial_rule(transform._default_r_max(f))[0].size
-    assert n_r == 1704
+    n_r = nodes[0]
+    assert nodes == [840]
     # the counters see the basis: the series pairs go through _eval_series
     assert sum(near) > 0
     assert 0 < sum(factored) < sum(pairs)
@@ -633,3 +654,53 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
     assert sum(near) > 0
     assert 0 < sum(factored) < sum(pairs)
     assert sum(pairs) - sum(factored) <= coeffs.lam_grid.size * 500 * 3 / 10
+
+
+# ------------------------------------------------ the radial rule
+# forward sizes its radial panels from the largest frequency omega_max of its
+# integrands (transform._frequency_bound); samples and callables carry no
+# bound and keep 24 nodes per unit of r.
+
+GUARD_SPECS = ((1, 1, 0.7), (1, 2, -0.8), (2, 1, "inf"), (2, 2, -1.1))
+
+
+@pytest.mark.parametrize("l,xi,kappa", GUARD_SPECS)
+@pytest.mark.parametrize("base_rate,bound", ((0.4, 5e-12), (0.6, 5e-12), (1.5, 5e-12), (3.0, 3e-11)))
+def test_forward_rule_matches_a_denser_rule(l, xi, kappa, base_rate, bound):
+    # c on forward's rule against a rule with 6x the panels: the slow inputs
+    # (base_rate <= 1.5) agree to 5e-12 of max |c| and base_rate 3.0 to its
+    # cancellation floor, 3e-11; 24 nodes per unit of r meets both bounds, and
+    # panels with a half-panel phase of 28 miss the first on slow inputs
+    spec = make_extension_spec(l, xi, kappa)
+    f = domain_test_function(spec, 4, base_rate)
+    lam_max = 2.0 * DEFAULT_LAMBDA_MAX
+    coeffs = forward(spec, f, lam_max=lam_max)
+    b, r_max = bound_state(spec), transform._default_r_max(f)
+    rn, rw = radial_rule(r_max, 6.0 * transform._frequency_bound(f, b, lam_max))
+    fw = np.real(eval_radial(f, rn)) * rw
+    dense = transform._project(spec, b, rn, rw, fw, r_max, lam_max)
+    assert _rel(coeffs.c, dense.c) <= bound
+    if dense.c_discrete is not None:
+        assert abs(coeffs.c_discrete - dense.c_discrete) <= bound * np.max(np.abs(dense.c))
+
+
+def test_forward_takes_its_radial_rule_at_call_time(monkeypatch):
+    # perfbench counts forward's radial nodes through transform.radial_rule,
+    # so forward, parseval_check and apply_function must look it up per call
+    spec, f = _memo_case()
+    r_max = 30.5
+    grid = np.linspace(0.01, r_max, 400)
+    sampled = SampledFunction(grid, np.real(eval_radial(f, grid)))
+    plain = lambda r: np.real(eval_radial(f, r))
+    nodes = _recorded_radial_nodes(monkeypatch)
+    for g in (sampled, plain):
+        forward(spec, g, r_max=r_max)
+    assert nodes == [24 * 31, 24 * 31]
+    nodes.clear()
+    transform._last_defect[0] = (None, None)
+    forward(spec, f, r_max=r_max)
+    parseval_check(spec, f, r_max=r_max, lam_max=12.0)
+    apply_function(spec, lambda x: x, f, r_max=r_max)
+    expected = [_forward_rule(spec, f, r_max, lam)[0].size for lam in (8.0, 12.0, 16.0)]
+    assert nodes == expected
+    assert expected[0] < 24 * 31
