@@ -3,7 +3,8 @@
 Subcommands: eigfun, resolvent, verify, transform, spectrum.  Data goes to
 CSV (header row, 17 significant digits, LF) or JSON (array of flat row
 objects); diagnostics go to stderr.  verify prints PASS/FAIL lines unless
---format asks for CSV or JSON on stdout.  Exit codes: 0 success, 1 verification
+--format asks for CSV or JSON on stdout, and each suite's wall time to
+stderr as it finishes.  Exit codes: 0 success, 1 verification
 failure, 2 invalid specification or input, 3 output I/O failure, 4 resolvent
 pole, 5 quadrature or function-domain failure.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -165,8 +167,12 @@ def _format_results(fmt: str, results) -> str:
 
 
 def cmd_verify(args) -> int:
-    names = args.only.split(",") if args.only else None
-    results = run_suites(names, seed=args.seed)
+    names = args.only.split(",") if args.only else list(SUITES)
+    results = []
+    for name in names:
+        start = time.perf_counter()
+        results.extend(run_suites([name], seed=args.seed))
+        print(f"time [{name}] {time.perf_counter() - start:.3f} s", file=sys.stderr)
     if args.output == "-":
         _emit("-", _format_results(args.format or "text", results))
     else:

@@ -28,16 +28,23 @@ O(n_lambda n_r) for the tiles, which keep the other panels and smaller
 radii; it is one transpose pair (_SharedPanels.matvec, rmatvec) applied per
 part of panels after the part's tiles.  Both evaluate the two exponentials
 of a closed-form pair, e^{i lambda r} and the decaying e^{rho_1 lambda r},
-from one complex exponential e^{i lambda r / 2} and one real one.  What a row needs besides r (its closed-form terms, origin
-series, switch radius and canonical sign) depends on (spec, lambda) alone, so
-it is built for the whole lambda grid and cached per (spec, lambda grid)
-across calls (_row_setup): a forward and the inverse on its grid build it
-once, and the tiles slice it.
+from one complex exponential e^{i lambda r / 2} and one real one.
+
+What a row needs besides r depends on (spec, lambda) alone, so it is built
+for the whole lambda grid and cached per (spec, lambda grid) across calls
+(_row_setup): a forward, the inverse on its grid and a parseval_check build
+it once, and the tiles slice it.  It holds each row's closed-form terms,
+origin series (the series of the four unit rates, scaled by lambda^m),
+switch radius and canonical sign, and the grid's shared panels
+(_SharedPanels.search), so a grid is searched for them once and each
+contraction only cuts them at its r.  The sign comes from a scan of 24
+points (_scan_signs) whose shared rows take their exponentials from the
+same panel and offset factors, (n_panels + 24) 24 exponentials in all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -162,9 +169,8 @@ def _eigenfunction_terms(spec: ExtensionSpec, lam):
         c3 = -2.0 * (lam**5 * den**5 - _phase(1 / 6) * num**5) / size
         amps = [1.0 / eiphi, -eiphi, c3, -np.conj(c3)]
         pref = 1j / (_SQRT2PI * lam**2)
-    rho = _rho1(spec)
-    rates = [1j * lam, -1j * lam, rho * lam, rho.conjugate() * lam]
-    return pref, np.stack(amps, axis=-1), np.stack(rates, axis=-1), p
+    rates = _unit_rates(spec) * np.asarray(lam)[..., None]
+    return pref, np.stack(amps, axis=-1), rates, p
 
 
 def _canonical_signs(vals):
@@ -205,23 +211,30 @@ def _rho1(spec: ExtensionSpec) -> complex:
     return _RHO1.conjugate() if (spec.xi, spec.l) == (1, 2) else _RHO1
 
 
+def _unit_rates(spec: ExtensionSpec) -> np.ndarray:
+    """(i, -i, rho_1, conj rho_1): the rate of closed-form term k is lambda
+    times entry k."""
+    rho = _rho1(spec)
+    return np.array([1j, -1j, rho, rho.conjugate()])
+
+
 def _tilt(spec: ExtensionSpec) -> float:
     """The sign of Im rho_1, which _pair_exponentials takes as its tilt."""
     return float(np.sign(_rho1(spec).imag))
 
 
-def _split_rows(r, radii, lam, tilt, polys, coefs):
+def _split_rows(r, radii, polys, coefs, pairs):
     """Rows of real values at sorted r >= 0 with eval_radial's split: row b
-    is the closed form 2 Re sum_k (sum_j polys[b, k, j] r^-j) e^{rho_k lam[b] r}
-    above radii[b], with the pair rates rho_k of _pair_exponentials, and the
-    origin series with real coefs[b] at or below it."""
+    is the closed form 2 Re sum_k (sum_j polys[b, k, j] r^-j) e_k[b] above
+    radii[b], with (e_0, e_1) = pairs(lo) the exponentials e^{rho_k lam[b] r}
+    of _pair_exponentials on r[lo:], and the origin series with real
+    coefs[b] at or below it."""
     split = np.searchsorted(r, radii, side="right")
     lo, hi = int(split.min()), int(split.max())
     out = np.empty((radii.size, r.size))
     if lo < r.size:
-        far = r[lo:]
-        inv = 1.0 / far
-        e0, e1 = _pair_exponentials(np.multiply.outer(lam, far), tilt)
+        inv = 1.0 / r[lo:]
+        e0, e1 = pairs(lo)
         for k, e in enumerate((e0, e1)):
             e *= _horner_inv(polys[:, k, None, :], inv)
         e0 += e1
@@ -232,6 +245,19 @@ def _split_rows(r, radii, lam, tilt, polys, coefs):
         band = np.arange(lo, hi) < split[:, None]
         out[:, lo:hi] = np.where(band, near[:, lo:], out[:, lo:hi])
     return out
+
+
+def _direct_pairs(lam, r, tilt):
+    """pairs for _split_rows: the pair exponentials at lam x r[lo:], one
+    complex exponential per (lambda, r) pair."""
+    return lambda lo: _pair_exponentials(np.multiply.outer(lam, r[lo:]), tilt)
+
+
+def _factored_pairs(e, d, panel, offset):
+    """pairs for _split_rows on rows lambda = a_p + delta_j: the products
+    E_k[p] D_k[j] on r[lo:] of the panel factors e and the offset factors d
+    (each (e_0, e_1) of _pair_exponentials), p = panel and j = offset per row."""
+    return lambda lo: tuple(ek[panel, lo:] * dk[offset, lo:] for ek, dk in zip(e, d))
 
 
 def _checked_lambda(lam) -> np.ndarray:
@@ -253,33 +279,73 @@ _SETUP_CACHE = 2
 
 @lru_cache(maxsize=_SETUP_CACHE)
 def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
-    """(terms, signs) of every row of the float64 lambda grid whose bytes are
-    lam_bytes: the closed-form terms and origin series that _split_rows
-    evaluates, and the canonical sign of each row (shape (n, 1)).  All of it
-    depends on (spec, lambda) alone, so it is cached per (spec, lambda grid)
-    across calls, O(n_lambda) in memory, and its arrays are read-only.  The
-    sign scan takes the rows with one split on _SIGN_SCAN together, so no
-    scan point is evaluated in both of _split_rows's forms, in chunks whose
-    temporaries each stay within _BLOCK_BYTES."""
+    """(terms, signs, shared) of the float64 lambda grid whose bytes are
+    lam_bytes: the closed-form terms and origin series of every row that
+    _split_rows evaluates, the canonical sign of each row (shape (n, 1)), and
+    the grid's shared panels before any cut (_SharedPanels.search, None
+    without them).  All of it depends on (spec, lambda) alone, so it is
+    cached per (spec, lambda grid) across calls, O(n_lambda) in memory, and
+    its arrays are read-only: a forward, the inverse on its grid and a
+    parseval_check search the grid for shared panels once, and each
+    contraction only cuts them at its r.
+
+    The rates are lambda rho_k with the four constants rho_k = (i, -i, rho_1,
+    conj rho_1) of _unit_rates, so the origin series' sum_k a_k
+    (lambda rho_k)^m is lambda^m sum_k a_k rho_k^m: _series_coefficients on
+    the four constants, column m scaled by lambda^m.  The signs come from _scan_signs."""
     lam = np.frombuffer(lam_bytes)
     pref, amps, rates, _ = _eigenfunction_terms(spec, lam)
     a = pref[:, None] * amps
     radii = SWITCH_SCALE / np.max(np.abs(rates), axis=-1)
     tilt = _tilt(spec)
     polys = a[:, ::2, None] * exponential_poly(spec.l, rates[:, ::2])
-    coefs = _series_coefficients(spec.l, a, rates, SERIES_ORDER).real
+    coefs = lam[:, None] ** np.arange(spec.l, SERIES_ORDER + spec.l + 1)
+    # a in Fortran order: each sum over k then adds four whole columns
+    unit = _unit_rates(spec)
+    coefs *= _series_coefficients(spec.l, np.asfortranarray(a), unit, SERIES_ORDER).real
+    shared = _SharedPanels.search(lam)
+    signs = _scan_signs(lam, tilt, radii, polys, coefs, shared)
+    held = (radii, polys, coefs, signs)
+    if shared is not None:
+        held += (shared.rows, shared.first, shared.offsets)
+    for values in held:
+        values.setflags(write=False)
+    return (radii, lam, tilt, polys, coefs), signs, shared
+
+
+def _scan_signs(lam, tilt, radii, polys, coefs, shared):
+    """The canonical sign of every row (shape (n, 1)) from its values on
+    _SIGN_SCAN, in chunks whose temporaries each stay within _BLOCK_BYTES.
+
+    The rows whose switch radius lies below the whole scan, those whose
+    radius lies above it, and the rest go to _split_rows in separate calls,
+    the rest in the order of their split, so only rows that the radius
+    splits evaluate both of its forms, on the band between their chunk's
+    smallest and largest split: a few calls, not one per split.  A row a_p + delta_j of the shared panels takes its exponentials
+    as products E[p, s] D[j, s] of the (panels + 24) 24 exponentials
+    E = e^{rho a_p s} and D = e^{rho delta_j s} (_factored_pairs); every
+    other row takes one per scan point."""
+    direct = _direct_rows(lam.size, shared)
+    sources = []
+    if shared is not None:
+        e = _pair_exponentials(np.multiply.outer(shared.first, _SIGN_SCAN), tilt)
+        d = _pair_exponentials(np.multiply.outer(shared.offsets, _SIGN_SCAN), tilt)
+        sources.append((shared.rows, lambda at: _factored_pairs(e, d, *np.divmod(at, GAUSS_ORDER))))
+    sources.append((direct, lambda at: _direct_pairs(lam[direct[at]], _SIGN_SCAN, tilt)))
     signs = np.empty((lam.size, 1))
     split = np.searchsorted(_SIGN_SCAN, radii, side="right")
     chunk = _TILE_PAIRS // _SIGN_SCAN.size
-    for at in range(_SIGN_SCAN.size + 1):
-        group = np.flatnonzero(split == at)
-        for start in range(0, group.size, chunk):
-            rows = group[start : start + chunk]
-            scan = _split_rows(_SIGN_SCAN, radii[rows], lam[rows], tilt, polys[rows], coefs[rows])
-            signs[rows, 0] = _canonical_signs(scan)
-    for values in (radii, polys, coefs, signs):
-        values.setflags(write=False)
-    return (radii, lam, tilt, polys, coefs), signs
+    for rows, pairs in sources:
+        order = np.argsort(split[rows], kind="stable")
+        ordered = split[rows][order]
+        kind = np.minimum(ordered, 1) + (ordered == _SIGN_SCAN.size)
+        for group in np.split(order, np.flatnonzero(np.diff(kind)) + 1):
+            for start in range(0, group.size, chunk):
+                at = group[start : start + chunk]
+                row = rows[at]
+                scan = _split_rows(_SIGN_SCAN, radii[row], polys[row], coefs[row], pairs(at))
+                signs[row, 0] = _canonical_signs(scan)
+    return signs
 
 
 def _tiles(setup, idx, r):
@@ -287,16 +353,17 @@ def _tiles(setup, idx, r):
     sorted r >= 0, U the basis at the lambdas idx[rows] and radii r[cols]: a
     block holds as many rows as a tile of all of r allows, at least _MIN_ROWS
     and at most a chunk of the sign scan, and slices the cached set-up."""
-    (radii, lam, tilt, polys, coefs), signs = setup
+    (radii, lam, tilt, polys, coefs), signs, _ = setup
     height = max(_MIN_ROWS, _TILE_PAIRS // max(r.size, _SIGN_SCAN.size))
     for start in range(0, idx.size, height):
         rows = slice(start, start + height)
         at = idx[rows]
-        terms = (radii[at], lam[at], tilt, polys[at], coefs[at])
+        terms = (radii[at], polys[at], coefs[at])
         width = _TILE_PAIRS // at.size
         for first in range(0, r.size, width):
             cols = slice(first, min(first + width, r.size))
-            yield rows, cols, signs[at] * _split_rows(r[cols], *terms)
+            pairs = _direct_pairs(lam[at], r[cols], tilt)
+            yield rows, cols, signs[at] * _split_rows(r[cols], *terms, pairs)
 
 
 def _basis_blocks(spec: ExtensionSpec, lam, r):
@@ -364,20 +431,21 @@ class _SharedPanels:
 
     rows indexes their nodes in lambda, panel by panel; first holds a_p and
     offsets delta_j.  Panel p is factored on the columns from cuts[p] on, the
-    cut of its run."""
+    cut of its run; the panels of a lambda grid before any cut (search, held
+    by _row_setup) have cuts None."""
 
     rows: np.ndarray
     first: np.ndarray
     offsets: np.ndarray
-    cuts: np.ndarray
+    cuts: np.ndarray | None = None
 
     @classmethod
-    def find(cls, lam: np.ndarray, r: np.ndarray):
+    def search(cls, lam: np.ndarray):
         """The shared panels of lam, read as consecutive panels of GAUSS_ORDER
-        nodes, for sorted columns r: the panels whose nodes equal their first
-        node plus the most common row of offsets, bit for bit.  None when
-        fewer than two panels do or no column lies beyond any cut (the tiles
-        then do it all)."""
+        nodes: the panels whose nodes equal their first node plus the most
+        common row of offsets, bit for bit.  None when fewer than two panels
+        do.  It depends on lambda alone, so _row_setup makes it once per
+        cached (spec, lambda grid)."""
         if lam.size % GAUSS_ORDER:
             return None
         nodes = lam.reshape(-1, GAUSS_ORDER)
@@ -387,17 +455,32 @@ class _SharedPanels:
         panels = np.flatnonzero(np.all(first[:, None] + offsets == nodes, axis=1))
         if panels.size < 2:
             return None
-        own = np.searchsorted(r, _FACTOR_CUT / np.min(nodes[panels], axis=1))
-        cuts, top = np.empty_like(own), 0
-        while top < own.size:
-            run = own[top : top + max(1, _TILE_PAIRS // (GAUSS_ORDER * max(own[top], 1)))]
-            size = int(np.argmax(run < _RUN_FLOOR * run[0])) or run.size
-            cuts[top : top + size] = np.max(run[:size])
-            top += size
-        if np.min(cuts) == r.size:
-            return None
         rows = (panels[:, None] * GAUSS_ORDER + np.arange(GAUSS_ORDER)).ravel()
-        return cls(rows, first[panels], offsets, cuts)
+        return cls(rows, first[panels], offsets)
+
+    def cut(self, r: np.ndarray):
+        """These panels with the cut of each one's run for sorted columns r,
+        or None when no column lies beyond any cut (the tiles then do it
+        all)."""
+        # a short walk over Python ints: numpy calls per run cost more here
+        own = np.searchsorted(r, _FACTOR_CUT / (self.first + np.min(self.offsets))).tolist()
+        cuts, top = [], 0
+        while top < len(own):
+            end = min(len(own), top + max(1, _TILE_PAIRS // (GAUSS_ORDER * max(own[top], 1))))
+            stop = next((i for i in range(top + 1, end) if own[i] < _RUN_FLOOR * own[top]), end)
+            cuts += [max(own[top:stop])] * (stop - top)
+            top = stop
+        if min(cuts) == r.size:
+            return None
+        return replace(self, cuts=np.array(cuts))
+
+    @classmethod
+    def find(cls, lam: np.ndarray, r: np.ndarray):
+        """search(lam) cut at the sorted columns r in one call, None when
+        either gives None.  The contractions instead cut the panels that the
+        cached _row_setup holds, so they never search a lambda grid again."""
+        shared = cls.search(lam)
+        return None if shared is None else shared.cut(r)
 
     def parts(self):
         """The panels in parts short enough for one tile of E per column tile,
@@ -465,16 +548,23 @@ def _powers(r, npow: int):
     return r ** -np.arange(npow, dtype=np.float64)[:, None]
 
 
-def _row_groups(lam, r):
-    """Yield (part, runs): a _SharedPanels part (None for the rows left wholly
-    to the tiles) and its runs [(idx, cut), ...].  The rows idx of lam are
-    tiled on the columns r[:cut], and the part factors the columns beyond
-    each of its panels' cuts."""
-    shared = _SharedPanels.find(lam, r)
-    direct = np.arange(lam.size)
+def _direct_rows(size, shared):
+    """The rows of a lambda grid of this size outside the _SharedPanels
+    shared (all of them when shared is None), ascending."""
+    keep = np.ones(size, bool)
     if shared is not None:
-        direct = np.setdiff1d(direct, shared.rows, assume_unique=True)
-    yield None, [(direct, r.size)]
+        keep[shared.rows] = False
+    return np.flatnonzero(keep)
+
+
+def _row_groups(setup, r):
+    """Yield (part, runs): a _SharedPanels part (None for the rows left wholly
+    to the tiles) and its runs [(idx, cut), ...].  The rows idx of the
+    _row_setup's lambda grid are tiled on the columns r[:cut], and the part
+    factors the columns beyond each of its panels' cuts."""
+    (_, lam, _, _, _), _, shared = setup
+    shared = None if shared is None else shared.cut(r)
+    yield None, [(_direct_rows(lam.size, shared), r.size)]
     if shared is not None:
         for part in shared.parts():
             yield part, part.runs()
@@ -487,9 +577,9 @@ def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
     then its factored sums, whose amplitudes are signs * polys of its row."""
     lam = _checked_lambda(lam)
     setup = _row_setup(spec, lam.tobytes())
-    (_, _, tilt, polys, _), signs = setup
+    (_, _, tilt, polys, _), signs, _ = setup
     c = np.zeros(lam.size)
-    for part, runs in _row_groups(lam, r):
+    for part, runs in _row_groups(setup, r):
         for idx, cut in runs:
             for rows, cols, u in _tiles(setup, idx, r[:cut]):
                 c[idx[rows]] += u @ x[cols]
@@ -506,9 +596,9 @@ def _basis_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
     as in _basis_matvec."""
     lam = _checked_lambda(lam)
     setup = _row_setup(spec, lam.tobytes())
-    (_, _, tilt, polys, _), signs = setup
+    (_, _, tilt, polys, _), signs, _ = setup
     f = np.zeros((y.shape[0], r.size))
-    for part, runs in _row_groups(lam, r):
+    for part, runs in _row_groups(setup, r):
         for idx, cut in runs:
             for rows, cols, u in _tiles(setup, idx, r[:cut]):
                 f[:, cols] += y[:, idx[rows]] @ u

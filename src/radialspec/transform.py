@@ -37,7 +37,8 @@ products; the other panels and the smaller radii are evaluated in
 memory-bounded tiles (spectrum._basis_blocks) at O(n_lambda n_r), with one
 complex exponential per (lambda, r) pair; the per-lambda set-up of the basis
 rows is cached per (spec, lambda grid) across calls, so a forward and the
-inverse on its grid build it once.  inverse checks its SpectralCoefficients
+inverse on its grid build it, and search the grid for its shared panels,
+once.  inverse checks its SpectralCoefficients
 (1-d, one length, real, finite, a discrete part only with a bound state)
 before evaluating anything.
 

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from radialspec import resolvent
-from radialspec.cli import main, read_csv_function
+from radialspec.cli import _format_results, main, read_csv_function
+from radialspec.verify import run_suites
 
 
 def run(capsys, *argv):
@@ -197,6 +199,19 @@ def test_verify_output_file_keeps_text_on_stdout(capsys, tmp_path):
     assert code == 0
     assert out.startswith("PASS [wronskian]")
     assert len(json.loads(path.read_text())) == len(out.strip().split("\n"))
+
+
+@pytest.mark.parametrize("fmt", (None, "csv", "json"))
+def test_verify_times_each_suite_on_stderr(capsys, fmt):
+    # one wall-time line per suite run, in run order, on stderr; stdout is
+    # the formatted results alone, byte for byte
+    extra = () if fmt is None else ("--format", fmt)
+    code, out, err = run(capsys, "verify", "--only", "wronskian,rayleigh", *extra)
+    assert code == 0
+    lines = err.splitlines()
+    assert [line.split()[1] for line in lines] == ["[wronskian]", "[rayleigh]"]
+    assert all(re.fullmatch(r"time \[\w+\] \d+\.\d{3} s", line) for line in lines)
+    assert out == _format_results(fmt or "text", run_suites(["wronskian", "rayleigh"]))
 
 
 def test_verify_injected_error_detected(capsys):

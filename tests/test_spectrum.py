@@ -1,5 +1,7 @@
+from math import factorial
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from radialspec import (
 )
 from radialspec.core import ExtensionSpec
 from radialspec.quadrature import quad_semiaxis
-from radialspec.rayleigh import r_switch
+from radialspec.rayleigh import SERIES_ORDER, _series_coefficients, monomial_coefficient, r_switch
 from radialspec import spectrum
 from radialspec.spectrum import (
     _basis_blocks,
@@ -219,14 +221,86 @@ def test_row_setup_cache_is_bounded_and_read_only():
     spec = make_extension_spec(1, 2, -0.8)
     for r_max in (10.5, 20.9, 30.0, 40.0, 70.6):
         lam = spectral_rule(r_max)[0]
-        (radii, lam_rows, _, polys, coefs), signs = spectrum._row_setup(spec, lam.tobytes())
+        (radii, lam_rows, _, polys, coefs), signs, shared = spectrum._row_setup(spec, lam.tobytes())
         assert np.array_equal(lam_rows, lam)
-        for values in (radii, lam_rows, polys, coefs, signs):
+        held = (radii, lam_rows, polys, coefs, signs, shared.rows, shared.first, shared.offsets)
+        for values in held:
             assert not values.flags.writeable
             with pytest.raises(ValueError):
                 values.flat[0] = 0.0
     info = spectrum._row_setup.cache_info()
     assert info.misses == 5 and 0 < info.currsize <= info.maxsize
+
+
+# every family at kappa > 0, 0, < 0, inf (l=2 only) and the near-free +-0.01
+SIGN_CASES = [
+    (l, xi, kappa)
+    for l, xi in ALL_PAIRS
+    for kappa in (0.8, 0.0, -1.3, 0.01, -0.01) + (("inf",) if l == 2 else ())
+]
+
+
+def _panels_one_ulp_off(lam):
+    """lam with one node of every other uniform panel of a spectral rule moved
+    up by one ulp, a different node in each: those panels are no longer
+    exact sums first + offsets, the others still are."""
+    nodes = lam.reshape(-1, 24).copy()
+    for n, p in enumerate(range(13, nodes.shape[0] - 1, 2)):
+        j = 1 + n % 23
+        nodes[p, j] = np.nextafter(nodes[p, j], np.inf)
+    return nodes.ravel()
+
+
+@pytest.mark.parametrize("l,xi,kappa", SIGN_CASES)
+def test_setup_signs_are_the_eigenfunction_signs(l, xi, kappa):
+    # the set-up's sign of every row, on grids with shared panels (whose scan
+    # takes its exponentials from panel and offset factors), without them,
+    # and with half the uniform panels one ulp off, is the canonical sign of
+    # continuous_eigenfunction: the sign that rescaled its raw closed form
+    spec = make_extension_spec(l, xi, kappa)
+    grids = (
+        (spectral_rule(10.5)[0], True),
+        (spectral_rule(70.6, 16.0)[0], True),
+        (np.geomspace(1e-3, 12.0, 480), False),
+        (_panels_one_ulp_off(spectral_rule(10.5)[0]), True),
+    )
+    for lam, has_shared in grids:
+        _, signs, shared = spectrum._row_setup(spec, lam.tobytes())
+        assert (shared is not None) == has_shared
+        pref = _eigenfunction_terms(spec, lam)[0]
+        want = np.sign(np.real([continuous_eigenfunction(spec, la).u.scale for la in lam] / pref))
+        assert np.array_equal(signs[:, 0], want)
+
+
+@pytest.mark.parametrize("l,xi,kappa", SIGN_CASES + [(1, 1, -0.8)])
+def test_taylor_rows_match_the_series_of_the_rates(l, xi, kappa):
+    # the set-up's origin series is lambda^m sum_k a_k rho_k^m, the series
+    # coefficients of the four unit rates rho_k scaled by lambda^m.  Against
+    # _series_coefficients on the rates lambda rho_k it agrees to the
+    # round-off of their terms, eps |D_l r^m| / m! lambda^m sum_k |a_k|, and
+    # not to each value's own size: at l=1, xi=1, kappa=-0.8 and lambda near
+    # 2e-6 the low orders cancel to about 1e-19.  The rates' own rounding,
+    # up to eps / 2 each, grows m-fold in their m-th powers, which sets the
+    # (10 + m / 2) eps of the comparison; against the exact sum of the same
+    # float64 terms the set-up's rows keep within 4 eps
+    spec = make_extension_spec(l, xi, kappa)
+    lam = spectral_rule(70.6, 16.0)[0]
+    (_, _, _, _, coefs), _, _ = spectrum._row_setup(spec, lam.tobytes())
+    pref, amps, rates, _ = _eigenfunction_terms(spec, lam)
+    a = pref[:, None] * amps
+    m = np.arange(l, SERIES_ORDER + l + 1)
+    unit = np.array([abs(monomial_coefficient(l, k)) / factorial(k) for k in m])
+    scale = unit * lam[:, None] ** m * np.sum(np.abs(a), axis=1)[:, None]
+    eps = np.finfo(float).eps
+    generic = _series_coefficients(l, a, rates, SERIES_ORDER).real
+    assert np.all(np.abs(coefs - generic) <= (10.0 + m / 2.0) * eps * scale)
+    rho = spectrum._unit_rates(spec)
+    with mpmath.workdps(40):
+        for i in range(0, lam.size, 151):
+            for c, k in enumerate(m):
+                terms = [mpmath.mpc(ak) * (mpmath.mpf(lam[i]) * mpmath.mpc(rk)) ** int(k) for ak, rk in zip(a[i], rho)]
+                exact = mpmath.re(mpmath.fsum(terms)) * monomial_coefficient(l, int(k)) / mpmath.factorial(k)
+                assert abs(coefs[i, c] - float(exact)) <= 4.0 * eps * scale[i, c]
 
 
 @pytest.mark.parametrize("l,xi,kappa", BASIS_CASES)

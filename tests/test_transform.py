@@ -610,9 +610,11 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
     # Count the (lambda, r) pairs the tiles evaluate on the benchmark's
     # largest grid (r_max 70.6), through the pair exponentials and the origin
     # series; the factors E and D of the factored sums are counted apart and
-    # left out.  About a fifth stay on the tiles in a slot-0 forward, and
-    # about a quarter in its 500-point inverse on (0.05, 30).  The forward
-    # starts from a cold row set-up, so its counts include the sign scan
+    # left out.  0.178 of n_lambda n_r stay on the tiles in a slot-0 forward,
+    # and 0.202 in its 500-point inverse on (0.05, 30).  The forward starts
+    # from a cold row set-up, so its counts include the sign scan: the scan's
+    # shared rows count only their panel and offset factors (24 (panels + 24)
+    # pairs), which took the forward's share down from 0.199
     pairs, near, factored = [], [], []
 
     def exponentials(theta, tilt):
@@ -654,6 +656,29 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
     assert sum(near) > 0
     assert 0 < sum(factored) < sum(pairs)
     assert sum(pairs) - sum(factored) <= coeffs.lam_grid.size * 500 * 3 / 10
+
+
+def test_round_trip_searches_its_lambda_grid_once(monkeypatch):
+    # the shared panels of a lambda grid depend on lambda alone, so the cached
+    # row set-up searches the grid for them and each contraction only cuts
+    # them at its radii: a forward, the inverse on its grid and a
+    # parseval_check search once in total, and another inverse not again
+    searched = []
+    search = spectrum._SharedPanels.search.__func__
+
+    def counted(cls, lam):
+        searched.append(lam.size)
+        return search(cls, lam)
+
+    monkeypatch.setattr(spectrum._SharedPanels, "search", classmethod(counted))
+    spec = make_extension_spec(2, 1, "inf")
+    f = domain_test_function(spec, 4, 3.0)
+    coeffs = forward(spec, f)
+    inverse(spec, coeffs, np.linspace(0.05, 30.0, 500))
+    parseval_check(spec, f)
+    assert searched == [coeffs.lam_grid.size]
+    inverse(spec, coeffs, np.linspace(0.1, 20.0, 300))
+    assert searched == [coeffs.lam_grid.size]
 
 
 # ------------------------------------------------ the radial rule
