@@ -34,12 +34,14 @@ What a row needs besides r depends on (spec, lambda) alone, so it is built
 for the whole lambda grid and cached per (spec, lambda grid) across calls
 (_row_setup): a forward, the inverse on its grid and a parseval_check build
 it once, and the tiles slice it.  It holds each row's closed-form terms,
-origin series (the series of the four unit rates, scaled by lambda^m),
-switch radius and canonical sign, and the grid's shared panels
-(_SharedPanels.search), so a grid is searched for them once and each
-contraction only cuts them at its r.  The sign comes from a scan of 24
-points (_scan_signs) whose shared rows take their exponentials from the
-same panel and offset factors, (n_panels + 24) 24 exponentials in all.
+origin series (the series of the four unit rates, scaled by lambda^m) and
+switch radius, and the grid's shared panels (_SharedPanels.search), so a
+grid is searched for them once and each contraction only cuts them at its r.
+Each row's canonical sign comes from a scan of 24 points (_scan_signs),
+walked in grid order, whose shared rows take their exponentials from the
+same panel and offset factors, (n_panels + 24) 24 exponentials in all; the
+set-up folds it into the row's terms and series once, so the tiles and the
+factored sums evaluate u^lambda itself and never apply a sign.
 """
 
 from __future__ import annotations
@@ -174,8 +176,8 @@ def _eigenfunction_terms(spec: ExtensionSpec, lam):
 
 
 def _canonical_signs(vals):
-    """+-1 per row of real values on _SIGN_SCAN: the sign of the first value
-    whose magnitude exceeds 5% of the row's largest."""
+    """+-1 per row of real values (an eigenfunction's on _SIGN_SCAN): the sign
+    of the first value whose magnitude exceeds 5% of the row's largest."""
     mags = np.abs(vals)
     first = np.argmax(mags > 0.05 * np.max(mags, axis=-1, keepdims=True), axis=-1)
     lead = np.take_along_axis(vals, first[..., None], axis=-1)[..., 0]
@@ -256,8 +258,15 @@ def _direct_pairs(lam, r, tilt):
 def _factored_pairs(e, d, panel, offset):
     """pairs for _split_rows on rows lambda = a_p + delta_j: the products
     E_k[p] D_k[j] on r[lo:] of the panel factors e and the offset factors d
-    (each (e_0, e_1) of _pair_exponentials), p = panel and j = offset per row."""
-    return lambda lo: tuple(ek[panel, lo:] * dk[offset, lo:] for ek, dk in zip(e, d))
+    (each (e_0, e_1) of _pair_exponentials), p = panel and j = offset per row,
+    each formed in its gathered rows of E: a temporary fewer, which keeps the
+    sign scan's chunks from faulting in fresh pages."""
+
+    def pairs(lo):
+        rows = tuple(ek[panel, lo:] for ek in e)
+        return tuple(np.multiply(ek, dk[offset, lo:], out=ek) for ek, dk in zip(rows, d))
+
+    return pairs
 
 
 def _checked_lambda(lam) -> np.ndarray:
@@ -279,20 +288,22 @@ _SETUP_CACHE = 2
 
 @lru_cache(maxsize=_SETUP_CACHE)
 def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
-    """(terms, signs, shared) of the float64 lambda grid whose bytes are
-    lam_bytes: the closed-form terms and origin series of every row that
-    _split_rows evaluates, the canonical sign of each row (shape (n, 1)), and
-    the grid's shared panels before any cut (_SharedPanels.search, None
-    without them).  All of it depends on (spec, lambda) alone, so it is
-    cached per (spec, lambda grid) across calls, O(n_lambda) in memory, and
-    its arrays are read-only: a forward, the inverse on its grid and a
-    parseval_check search the grid for shared panels once, and each
-    contraction only cuts them at its r.
+    """((radii, lam, tilt, polys, coefs), shared) of the float64 lambda grid
+    whose bytes are lam_bytes: the closed-form terms and origin series of
+    every row that _split_rows evaluates, each row's canonical sign
+    (_scan_signs) folded into them, so they evaluate u^lambda itself, and the
+    grid's shared panels before any cut (_SharedPanels.search, None without
+    them).  All of it depends on (spec, lambda) alone, so it is cached per
+    (spec, lambda grid) across calls, O(n_lambda) in memory, and its arrays
+    are read-only: a forward, the inverse on its grid and a parseval_check
+    search the grid for shared panels once, and each contraction only cuts
+    them at its r.  Negating a value is exact, so the signed rows give the
+    unsigned rows' values times their sign, bit for bit.
 
     The rates are lambda rho_k with the four constants rho_k = (i, -i, rho_1,
     conj rho_1) of _unit_rates, so the origin series' sum_k a_k
     (lambda rho_k)^m is lambda^m sum_k a_k rho_k^m: _series_coefficients on
-    the four constants, column m scaled by lambda^m.  The signs come from _scan_signs."""
+    the four constants, column m scaled by lambda^m."""
     lam = np.frombuffer(lam_bytes)
     pref, amps, rates, _ = _eigenfunction_terms(spec, lam)
     a = pref[:, None] * amps
@@ -305,26 +316,24 @@ def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
     coefs *= _series_coefficients(spec.l, np.asfortranarray(a), unit, SERIES_ORDER).real
     shared = _SharedPanels.search(lam)
     signs = _scan_signs(lam, tilt, radii, polys, coefs, shared)
-    held = (radii, polys, coefs, signs)
+    polys *= signs[:, :, None]
+    coefs *= signs
+    held = (radii, polys, coefs)
     if shared is not None:
         held += (shared.rows, shared.first, shared.offsets)
     for values in held:
         values.setflags(write=False)
-    return (radii, lam, tilt, polys, coefs), signs, shared
+    return (radii, lam, tilt, polys, coefs), shared
 
 
 def _scan_signs(lam, tilt, radii, polys, coefs, shared):
-    """The canonical sign of every row (shape (n, 1)) from its values on
-    _SIGN_SCAN, in chunks whose temporaries each stay within _BLOCK_BYTES.
-
-    The rows whose switch radius lies below the whole scan, those whose
-    radius lies above it, and the rest go to _split_rows in separate calls,
-    the rest in the order of their split, so only rows that the radius
-    splits evaluate both of its forms, on the band between their chunk's
-    smallest and largest split: a few calls, not one per split.  A row a_p + delta_j of the shared panels takes its exponentials
-    as products E[p, s] D[j, s] of the (panels + 24) 24 exponentials
-    E = e^{rho a_p s} and D = e^{rho delta_j s} (_factored_pairs); every
-    other row takes one per scan point."""
+    """The canonical sign of every row (shape (n, 1)) of the unsigned polys
+    and coefs from its values on _SIGN_SCAN, walking the shared rows and then the other
+    rows in grid order, in chunks whose temporaries each stay within
+    _BLOCK_BYTES.  A row a_p + delta_j of the shared panels takes its
+    exponentials as products E[p, s] D[j, s] of the (panels + 24) 24
+    exponentials E = e^{rho a_p s} and D = e^{rho delta_j s}
+    (_factored_pairs); every other row takes one per scan point."""
     direct = _direct_rows(lam.size, shared)
     sources = []
     if shared is not None:
@@ -333,18 +342,13 @@ def _scan_signs(lam, tilt, radii, polys, coefs, shared):
         sources.append((shared.rows, lambda at: _factored_pairs(e, d, *np.divmod(at, GAUSS_ORDER))))
     sources.append((direct, lambda at: _direct_pairs(lam[direct[at]], _SIGN_SCAN, tilt)))
     signs = np.empty((lam.size, 1))
-    split = np.searchsorted(_SIGN_SCAN, radii, side="right")
     chunk = _TILE_PAIRS // _SIGN_SCAN.size
     for rows, pairs in sources:
-        order = np.argsort(split[rows], kind="stable")
-        ordered = split[rows][order]
-        kind = np.minimum(ordered, 1) + (ordered == _SIGN_SCAN.size)
-        for group in np.split(order, np.flatnonzero(np.diff(kind)) + 1):
-            for start in range(0, group.size, chunk):
-                at = group[start : start + chunk]
-                row = rows[at]
-                scan = _split_rows(_SIGN_SCAN, radii[row], polys[row], coefs[row], pairs(at))
-                signs[row, 0] = _canonical_signs(scan)
+        for start in range(0, rows.size, chunk):
+            at = np.arange(start, min(start + chunk, rows.size))
+            row = rows[at]
+            scan = _split_rows(_SIGN_SCAN, radii[row], polys[row], coefs[row], pairs(at))
+            signs[row, 0] = _canonical_signs(scan)
     return signs
 
 
@@ -353,7 +357,7 @@ def _tiles(setup, idx, r):
     sorted r >= 0, U the basis at the lambdas idx[rows] and radii r[cols]: a
     block holds as many rows as a tile of all of r allows, at least _MIN_ROWS
     and at most a chunk of the sign scan, and slices the cached set-up."""
-    (radii, lam, tilt, polys, coefs), signs, _ = setup
+    (radii, lam, tilt, polys, coefs), _ = setup
     height = max(_MIN_ROWS, _TILE_PAIRS // max(r.size, _SIGN_SCAN.size))
     for start in range(0, idx.size, height):
         rows = slice(start, start + height)
@@ -363,7 +367,7 @@ def _tiles(setup, idx, r):
         for first in range(0, r.size, width):
             cols = slice(first, min(first + width, r.size))
             pairs = _direct_pairs(lam[at], r[cols], tilt)
-            yield rows, cols, signs[at] * _split_rows(r[cols], *terms, pairs)
+            yield rows, cols, _split_rows(r[cols], *terms, pairs)
 
 
 def _basis_blocks(spec: ExtensionSpec, lam, r):
@@ -432,7 +436,8 @@ class _SharedPanels:
     rows indexes their nodes in lambda, panel by panel; first holds a_p and
     offsets delta_j.  Panel p is factored on the columns from cuts[p] on, the
     cut of its run; the panels of a lambda grid before any cut (search, held
-    by _row_setup) have cuts None."""
+    by _row_setup) have cuts None.  matvec and rmatvec take the amplitudes
+    of the rows as _row_setup holds them, each row's sign folded in."""
 
     rows: np.ndarray
     first: np.ndarray
@@ -473,14 +478,6 @@ class _SharedPanels:
         if min(cuts) == r.size:
             return None
         return replace(self, cuts=np.array(cuts))
-
-    @classmethod
-    def find(cls, lam: np.ndarray, r: np.ndarray):
-        """search(lam) cut at the sorted columns r in one call, None when
-        either gives None.  The contractions instead cut the panels that the
-        cached _row_setup holds, so they never search a lambda grid again."""
-        shared = cls.search(lam)
-        return None if shared is None else shared.cut(r)
 
     def parts(self):
         """The panels in parts short enough for one tile of E per column tile,
@@ -562,7 +559,7 @@ def _row_groups(setup, r):
     to the tiles) and its runs [(idx, cut), ...].  The rows idx of the
     _row_setup's lambda grid are tiled on the columns r[:cut], and the part
     factors the columns beyond each of its panels' cuts."""
-    (_, lam, _, _, _), _, shared = setup
+    (_, lam, _, _, _), shared = setup
     shared = None if shared is None else shared.cut(r)
     yield None, [(_direct_rows(lam.size, shared), r.size)]
     if shared is not None:
@@ -574,18 +571,17 @@ def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
     """c = U x for the basis U of _basis_blocks at sorted r >= 0 and real x,
     without forming U: the shared panels' columns beyond their cuts by the
     factored sums, everything else by tiles.  Each row adds its tiles first,
-    then its factored sums, whose amplitudes are signs * polys of its row."""
+    then its factored sums, whose amplitudes are the signed polys of its row."""
     lam = _checked_lambda(lam)
     setup = _row_setup(spec, lam.tobytes())
-    (_, _, tilt, polys, _), signs, _ = setup
+    (_, _, tilt, polys, _), _ = setup
     c = np.zeros(lam.size)
     for part, runs in _row_groups(setup, r):
         for idx, cut in runs:
             for rows, cols, u in _tiles(setup, idx, r[:cut]):
                 c[idx[rows]] += u @ x[cols]
         if part is not None:
-            amps = signs[part.rows, :, None] * polys[part.rows]
-            c[part.rows] += part.matvec(amps, tilt, r, x)
+            c[part.rows] += part.matvec(polys[part.rows], tilt, r, x)
     return c
 
 
@@ -596,15 +592,14 @@ def _basis_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
     as in _basis_matvec."""
     lam = _checked_lambda(lam)
     setup = _row_setup(spec, lam.tobytes())
-    (_, _, tilt, polys, _), signs, _ = setup
+    (_, _, tilt, polys, _), _ = setup
     f = np.zeros((y.shape[0], r.size))
     for part, runs in _row_groups(setup, r):
         for idx, cut in runs:
             for rows, cols, u in _tiles(setup, idx, r[:cut]):
                 f[:, cols] += y[:, idx[rows]] @ u
         if part is not None:
-            amps = signs[part.rows, :, None] * polys[part.rows]
-            f += part.rmatvec(amps, tilt, r, y[:, part.rows])
+            f += part.rmatvec(polys[part.rows], tilt, r, y[:, part.rows])
     return f
 
 

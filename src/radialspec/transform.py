@@ -34,7 +34,7 @@ e^{rho delta_j r} (24 per r), and each power r^-b of the D_l polynomial is
 one matrix product over r.  The radii beyond 4 / lambda, with the cut taken
 per run of these panels, cost O((n_panels + 24) n_r) exponentials plus the
 products; the other panels and the smaller radii are evaluated in
-memory-bounded tiles (spectrum._basis_blocks) at O(n_lambda n_r), with one
+memory-bounded tiles (spectrum._tiles) at O(n_lambda n_r), with one
 complex exponential per (lambda, r) pair; the per-lambda set-up of the basis
 rows is cached per (spec, lambda grid) across calls, so a forward and the
 inverse on its grid build it, and search the grid for its shared panels,

@@ -36,6 +36,7 @@ from .resolvent import (
     wronskian_numeric,
 )
 from .spectrum import (
+    _canonical_signs,
     asymptotic_density,
     bound_state,
     continuous_eigenfunction,
@@ -297,12 +298,6 @@ def suite_continuous(seed: int = 0):
     return out
 
 
-def _canonical_sign(vals: np.ndarray) -> np.ndarray:
-    mags = np.abs(vals)
-    idx = int(np.argmax(mags > 0.05 * np.max(mags)))
-    return -vals if vals[idx] < 0 else vals
-
-
 def suite_limits(seed: int = 0):
     out = []
     rgrid = np.linspace(0.3, 6.0, 40)
@@ -310,7 +305,8 @@ def suite_limits(seed: int = 0):
     spec = make_extension_spec(1, 1, 0.0)
     lam = 1.3
     u = np.real(eval_radial(continuous_eigenfunction(spec, lam).u, rgrid))
-    free = _canonical_sign(asymptotic_density(1, lam, rgrid))
+    free = asymptotic_density(1, lam, rgrid)
+    free = free * _canonical_signs(free)
     out.append(
         _res("limits", "l=1 xi=1 kappa=0 equals free form", float(np.max(np.abs(u - free))), 1e-12)
     )
@@ -330,7 +326,8 @@ def suite_limits(seed: int = 0):
         2,
         1j / (np.sqrt(2 * np.pi) * lam**2),
     )
-    ul = _canonical_sign(np.real(eval_radial(ulim, rgrid)))
+    ul = np.real(eval_radial(ulim, rgrid))
+    ul = ul * _canonical_signs(ul)
     out.append(_res("limits", "common extension matches limiting form", float(np.max(np.abs(ua - ul))), 1e-10))
 
     band = np.linspace(1.0, 5.0, 60)

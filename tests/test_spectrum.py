@@ -162,7 +162,7 @@ def test_factored_contractions_match_tiles(l, xi, kappa, r_max, lam_max):
     r, rw = r[::4], 4.0 * rw[::4]
     x = rw * np.exp(-0.1 * r) * np.cos(0.7 * r)
     y = lw * np.exp(-0.3 * lam) * np.sin(3.0 * lam + 0.2)
-    shared = spectrum._SharedPanels.find(lam, r)
+    shared = spectrum._SharedPanels.search(lam).cut(r)
     assert shared is not None and np.min(shared.cuts) < r.size
     c_ref, f_ref = _tile_contractions(spec, lam, r, x, y)
     c = _basis_matvec(spec, lam, r, x)
@@ -221,9 +221,9 @@ def test_row_setup_cache_is_bounded_and_read_only():
     spec = make_extension_spec(1, 2, -0.8)
     for r_max in (10.5, 20.9, 30.0, 40.0, 70.6):
         lam = spectral_rule(r_max)[0]
-        (radii, lam_rows, _, polys, coefs), signs, shared = spectrum._row_setup(spec, lam.tobytes())
+        (radii, lam_rows, _, polys, coefs), shared = spectrum._row_setup(spec, lam.tobytes())
         assert np.array_equal(lam_rows, lam)
-        held = (radii, lam_rows, polys, coefs, signs, shared.rows, shared.first, shared.offsets)
+        held = (radii, lam_rows, polys, coefs, shared.rows, shared.first, shared.offsets)
         for values in held:
             assert not values.flags.writeable
             with pytest.raises(ValueError):
@@ -252,11 +252,21 @@ def _panels_one_ulp_off(lam):
 
 
 @pytest.mark.parametrize("l,xi,kappa", SIGN_CASES)
-def test_setup_signs_are_the_eigenfunction_signs(l, xi, kappa):
-    # the set-up's sign of every row, on grids with shared panels (whose scan
-    # takes its exponentials from panel and offset factors), without them,
-    # and with half the uniform panels one ulp off, is the canonical sign of
-    # continuous_eigenfunction: the sign that rescaled its raw closed form
+def test_setup_signs_are_the_eigenfunction_signs(l, xi, kappa, monkeypatch):
+    # the set-up folds into every row's terms and series, bit for bit, the
+    # canonical sign of continuous_eigenfunction (the sign that rescaled its
+    # raw closed form), on grids with shared panels (whose scan takes its
+    # exponentials from panel and offset factors), without them, and with
+    # half the uniform panels one ulp off; the unsigned terms are those the
+    # set-up hands its sign scan
+    scanned = []
+    scan_signs = spectrum._scan_signs
+
+    def spy(lam, tilt, radii, polys, coefs, shared):
+        scanned.append((polys.copy(), coefs.copy()))
+        return scan_signs(lam, tilt, radii, polys, coefs, shared)
+
+    monkeypatch.setattr(spectrum, "_scan_signs", spy)
     spec = make_extension_spec(l, xi, kappa)
     grids = (
         (spectral_rule(10.5)[0], True),
@@ -265,15 +275,17 @@ def test_setup_signs_are_the_eigenfunction_signs(l, xi, kappa):
         (_panels_one_ulp_off(spectral_rule(10.5)[0]), True),
     )
     for lam, has_shared in grids:
-        _, signs, shared = spectrum._row_setup(spec, lam.tobytes())
+        (_, _, _, polys, coefs), shared = spectrum._row_setup(spec, lam.tobytes())
         assert (shared is not None) == has_shared
         pref = _eigenfunction_terms(spec, lam)[0]
         want = np.sign(np.real([continuous_eigenfunction(spec, la).u.scale for la in lam] / pref))
-        assert np.array_equal(signs[:, 0], want)
+        unsigned_polys, unsigned_coefs = scanned.pop()
+        assert polys.tobytes() == (want[:, None, None] * unsigned_polys).tobytes()
+        assert coefs.tobytes() == (want[:, None] * unsigned_coefs).tobytes()
 
 
 @pytest.mark.parametrize("l,xi,kappa", SIGN_CASES + [(1, 1, -0.8)])
-def test_taylor_rows_match_the_series_of_the_rates(l, xi, kappa):
+def test_taylor_rows_match_the_series_of_the_rates(l, xi, kappa, monkeypatch):
     # the set-up's origin series is lambda^m sum_k a_k rho_k^m, the series
     # coefficients of the four unit rates rho_k scaled by lambda^m.  Against
     # _series_coefficients on the rates lambda rho_k it agrees to the
@@ -282,12 +294,17 @@ def test_taylor_rows_match_the_series_of_the_rates(l, xi, kappa):
     # 2e-6 the low orders cancel to about 1e-19.  The rates' own rounding,
     # up to eps / 2 each, grows m-fold in their m-th powers, which sets the
     # (10 + m / 2) eps of the comparison; against the exact sum of the same
-    # float64 terms the set-up's rows keep within 4 eps
+    # float64 terms the set-up's rows keep within 4 eps.  The set-up's rows
+    # carry each row's sign, so the references carry the signs of its scan
+    signs = []
+    scan_signs = spectrum._scan_signs
+    monkeypatch.setattr(spectrum, "_scan_signs", lambda *args: signs.append(scan_signs(*args)) or signs[-1])
     spec = make_extension_spec(l, xi, kappa)
     lam = spectral_rule(70.6, 16.0)[0]
-    (_, _, _, _, coefs), _, _ = spectrum._row_setup(spec, lam.tobytes())
+    (_, _, _, _, coefs), _ = spectrum._row_setup(spec, lam.tobytes())
+    (sign,) = signs
     pref, amps, rates, _ = _eigenfunction_terms(spec, lam)
-    a = pref[:, None] * amps
+    a = sign * pref[:, None] * amps
     m = np.arange(l, SERIES_ORDER + l + 1)
     unit = np.array([abs(monomial_coefficient(l, k)) / factorial(k) for k in m])
     scale = unit * lam[:, None] ** m * np.sum(np.abs(a), axis=1)[:, None]
@@ -353,7 +370,7 @@ def test_shared_panels_are_the_uniform_panels():
         lam = spectral_rule(r_max, lam_max)[0]
         r = radial_rule(r_max)[0]
         width = min(2.0 * np.pi / r_max, (lam_max - 0.5) / 4.0)
-        shared = spectrum._SharedPanels.find(lam, r)
+        shared = spectrum._SharedPanels.search(lam).cut(r)
         assert shared.first.size == int(np.floor((lam_max - 0.5) / width - 1e-9))
         exact = (shared.first[:, None] + shared.offsets).ravel()
         assert np.array_equal(lam[shared.rows], exact)
@@ -375,16 +392,16 @@ def test_shared_panels_are_the_uniform_panels():
             top += size
     r = radial_rule(10.5)[0]
     lam = spectral_rule(10.5)[0]
-    assert spectrum._SharedPanels.find(lam[:-1], r) is None
-    assert spectrum._SharedPanels.find(lam[: 14 * 24], r) is None
-    assert spectrum._SharedPanels.find(lam, r[r < 4.0 / lam.max()]) is None
+    assert spectrum._SharedPanels.search(lam[:-1]) is None
+    assert spectrum._SharedPanels.search(lam[: 14 * 24]) is None
+    assert spectrum._SharedPanels.search(lam).cut(r[r < 4.0 / lam.max()]) is None
 
 
 @pytest.mark.parametrize("l,xi,kappa", [(1, 1, 0.8), (2, 2, 0.0), (2, 1, -1.3)])
 def test_panels_one_ulp_off_stay_on_the_tiles(l, xi, kappa):
     # one node of every other uniform panel moved up by one ulp, a different
     # node in each: those panels are no longer exact sums first + offsets, so
-    # find leaves them to the tiles, while the untouched half stays factored
+    # search leaves them to the tiles, while the untouched half stays factored
     # and the contractions still agree with the tiles
     spec = make_extension_spec(l, xi, kappa)
     lam, lw = spectral_rule(70.6, 8.0)
@@ -397,7 +414,7 @@ def test_panels_one_ulp_off_stay_on_the_tiles(l, xi, kappa):
         j = 1 + n % 23
         nodes[p, j] = np.nextafter(nodes[p, j], np.inf)
     lam = nodes.ravel()
-    shared = spectrum._SharedPanels.find(lam, r)
+    shared = spectrum._SharedPanels.search(lam).cut(r)
     assert np.array_equal(np.unique(shared.rows // 24), uniform[1::2])
     x = rw * np.exp(-0.1 * r) * np.cos(0.7 * r)
     y = lw * np.exp(-0.3 * lam) * np.sin(3.0 * lam + 0.2)
@@ -470,7 +487,7 @@ def test_factored_forward_far_region_long_double():
     lam = spectral_rule(70.6, 16.0)[0]
     r, rw = radial_rule(70.6)
     x = np.real(eval_radial(f, r)) * rw
-    shared = spectrum._SharedPanels.find(lam, r)
+    shared = spectrum._SharedPanels.search(lam).cut(r)
     far = slice(np.max(shared.cuts), None)
     c = _basis_matvec(spec, lam, r[far], x[far])
     rows = shared.rows[::4]
