@@ -9,11 +9,10 @@ ACCEPTANCE_LINES = []
 def _cold_caches():
     """Start each test, under tests/ and perfbench/ alike, with no cached
     basis set-up, no remembered Parseval defect and no cached resolvent
-    coefficients or kernel set-up, so a test that counts builds, projections
-    or traced calls does not depend on which test ran before it."""
+    set-up, so a test that counts builds, projections or traced calls does
+    not depend on which test ran before it."""
     spectrum._row_setup.cache_clear()
     transform._last_defect[0] = (None, None)
-    resolvent._coefficients.cache_clear()
     resolvent._kernel_setup.cache_clear()
 
 

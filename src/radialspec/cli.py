@@ -81,9 +81,13 @@ def read_csv_function(path: str) -> SampledFunction:
             if not line:
                 continue
             parts = line.split(",")
-            if i == 0 and not parts[0].lstrip("+-").replace(".", "", 1)[:1].isdigit():
-                continue
-            rows.append((float(parts[0]), float(parts[1])))
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                # the first line is a header unless its first two fields are
+                # both numbers, so a row such as 'nan,1' stays data
+                if i > 0:
+                    raise
     if len(rows) < 2:
         raise ValueError("need at least two data rows")
     g = np.array([r[0] for r in rows])

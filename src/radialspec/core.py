@@ -48,11 +48,12 @@ class Kappa:
     def of(cls, value) -> "Kappa":
         if isinstance(value, Kappa):
             return value.canonical()
-        if isinstance(value, str):
-            if value.strip().lower() in ("inf", "+inf", "infinity"):
-                return cls(1.0, 0.0)
+        if isinstance(value, str) and value.strip().lower() in ("inf", "+inf", "infinity"):
+            return cls(1.0, 0.0)
+        try:
             value = float(value)
-        value = float(value)
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"kappa must be a real number or 'inf', not {value!r}") from None
         if math.isinf(value):
             return cls(1.0, 0.0)
         return cls(value, 1.0)

@@ -99,9 +99,10 @@ def quad_semiaxis(f, decay_rate: float, tol: float = 1e-10, max_refine: int = 7)
     are halved until two successive values agree to tol, and the result is
     additionally required to be stable under R -> 2R.
     """
-    if decay_rate <= 0:
+    # NaN fails every comparison, so these reject it; an infinite decay passes
+    if not decay_rate > 0:
         raise InvalidInput("decay_rate must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInput("tol must be positive")
     radius = max(np.log(10.0 / tol) / decay_rate, 1.0)
 

@@ -38,12 +38,10 @@ formed, so nothing overflows at large r.
 
 The part of the kernel that depends only on (spec, z) -- the coefficient
 tables, the rates chi_k, the polynomial factors of D_l e^{+-chi_k r} and the
-weights c_k -- is built once per (spec, z) and kept in small bounded caches,
-so a grid of kernel values at one z pays for it once.  kernel reads it all
-from one set-up per (spec, z, allow_boundary), laid out for its body, so a
-scalar call makes one cache lookup.  The cached arrays are read-only:
-coefficients_closed_form hands the same alpha, beta and gamma to every
-caller.
+weights c_k -- is built once per (spec, z, allow_boundary) into one bounded,
+read-only set-up, _kernel_setup, so a grid of kernel values at one z pays for
+it once and a scalar call makes one cache lookup.  kernel and apply_resolvent
+both read it; it is the one place for further per-(spec, z) data.
 """
 
 from __future__ import annotations
@@ -134,7 +132,6 @@ def set_coefficient_injection(entry):
         col = ("alpha", "beta", "gamma").index(name)
         rows[k][col] = tuple(-v for v in rows[k][col])
         CLOSED_TABLE[family] = rows
-    _coefficients.cache_clear()
     _kernel_setup.cache_clear()
 
 
@@ -229,23 +226,12 @@ def _checked_denominator(spec: ExtensionSpec, z: complex):
 def coefficients_closed_form(
     spec: ExtensionSpec, z: complex, allow_boundary: bool = False
 ) -> CoefficientSet:
-    """The (corrected) coefficient tables evaluated at z.
+    """The (corrected) coefficient tables evaluated at z, with read-only
+    alpha, beta and gamma.
 
     Raises SectorError outside the sector and PoleError at the resolvent pole.
-    The result is cached per (spec, z, allow_boundary), with z's type part of
-    the key: a complex and an np.complex128 z round z**pw differently.  Its
-    alpha, beta and gamma are shared between callers and read-only.
+    Not cached: kernel and apply_resolvent read the tables from _kernel_setup.
     """
-    return _coefficients(spec, z, allow_boundary)
-
-
-# Small on purpose: the reuse that pays is within one grid or apply at one z,
-# and the cache keeps its arrays alive for the life of the process.
-_SETUP_CACHE = 64
-
-
-@functools.lru_cache(maxsize=_SETUP_CACHE, typed=True)
-def _coefficients(spec: ExtensionSpec, z, allow_boundary: bool) -> CoefficientSet:
     validate_sector(z, allow_boundary)
     p = _checked_denominator(spec, z)
     pw = KAPPA_POWER[(spec.xi, spec.l)]
@@ -315,34 +301,26 @@ class KernelValue:
         return (abs(self.R0) + abs(self.R1) + abs(self.R2) + abs(self.Rg)) / abs(self.total)
 
 
-@functools.lru_cache(maxsize=_SETUP_CACHE, typed=True)
-def _kernel_rates(l: int, z):
-    """(chi, p, c), read-only: the rates chi_k of g_k, the polynomial factors
-    p of D_l e^{chi_k x} (rows 0..2) and D_l e^{-chi_k x} (rows 3..5), and the
-    weights c_k = e^{2 pi i k/3} / (3 z^4 W_k) of g_k(r_>) h_k(r_<) in R.
-    The caller validates z."""
-    chi = np.array([g_rate(z, k) for k in range(3)])
-    p = exponential_poly(l, np.concatenate((chi, -chi)))
-    ck = np.array(
-        [_phase(2 * k / 3) / (3.0 * z**4 * wronskian(l, z, k)) for k in range(3)]
-    )
-    for values in (chi, p, ck):
-        values.setflags(write=False)
-    return chi, p, ck
-
-
-@functools.lru_cache(maxsize=_SETUP_CACHE, typed=True)
+# Small on purpose: the reuse that pays is within one grid or apply at one z,
+# and the cache keeps its arrays alive for the life of the process.  Typed,
+# since a complex and an np.complex128 z round z**pw differently.
+@functools.lru_cache(maxsize=64, typed=True)
 def _kernel_setup(spec: ExtensionSpec, z, allow_boundary: bool):
-    """(rates, polys, amps, ck), read-only: everything kernel reads of
-    (spec, z), one row per term and a unit point axis.  rates (6, 1) holds
-    chi_k twice, for e^{chi_k r_<} and e^{chi_k (r_> - r_<)}; polys
-    (9, 1, P) holds _kernel_rates' factors for P_g(r_<), P_d(r_<) and
-    P_g(r_>), laid out so that each Horner column polys[..., j] is
-    contiguous; amps[m, k] (3, 3, 1) is alpha_k, beta_k, gamma_k of h_k for
-    m = 0, 1, 2; ck (3, 1) is c_k.  Raises what coefficients_closed_form
-    raises, on every call."""
+    """(rates, polys, amps, ck), read-only: everything kernel and
+    apply_resolvent read of (spec, z), one row per term and a unit point
+    axis.  rates (6, 1) holds chi_k, the rate of g_k, twice, for
+    e^{chi_k r_<} and e^{chi_k (r_> - r_<)}; polys (9, 1, P) holds the
+    factors P_g(r_<), P_d(r_<) and P_g(r_>) of D_l e^{+-chi_k x}, each
+    Horner column polys[..., j] contiguous; amps[m, k] (3, 3, 1) is
+    alpha_k, beta_k, gamma_k of h_k for m = 0, 1, 2; ck (3, 1) is
+    c_k = e^{2 pi i k/3} / (3 z^4 W_k).  Raises what
+    coefficients_closed_form raises, on every call."""
     c = coefficients_closed_form(spec, z, allow_boundary)
-    chi, p, ck = _kernel_rates(spec.l, z)
+    chi = np.array([g_rate(z, k) for k in range(3)])
+    p = exponential_poly(spec.l, np.concatenate((chi, -chi)))
+    ck = np.array(
+        [_phase(2 * k / 3) / (3.0 * z**4 * wronskian(spec.l, z, k)) for k in range(3)]
+    )
     setup = (
         np.concatenate((chi, chi))[:, None],
         np.asfortranarray(p[[0, 1, 2, 3, 4, 5, 0, 1, 2], None]),
@@ -510,8 +488,9 @@ def apply_resolvent(
     B_i = int_{q_i}^{r_max} e^{chi_k (s - q_i)} G_k f ds
     follow from one sum per segment between outputs by the recurrences
     A_i = e^{chi_k (q_i - q_{i-1})} A_{i-1} + S_i and its mirror image.
-    G_k is the polynomial factor of D_l e^{chi_k r} alone: a Horner pass in
-    1/q over _kernel_rates' coefficients, with no exponential.
+    G_k is the polynomial factor P_g of D_l e^{chi_k r} alone: a Horner pass
+    in 1/q with no exponential.  chi_k, P_g and c_k come from kernel's
+    set-up, whose lookup checks the sector and the pole first.
 
     The panels of a segment have one width 2 half, so at node
     x = mid_p + half t_j the exponential of a tail factors as
@@ -528,14 +507,14 @@ def apply_resolvent(
     tracemalloc: 13 outputs at the default r_max (about 45k nodes) 3.1 MB,
     and 1500 outputs with r_max = 2500 (480k nodes) 17-18 MB.
     """
-    validate_sector(z, allow_boundary)
+    rates, polys, _, ck = _kernel_setup(spec, z, allow_boundary)
+    chis, polys, weights = rates[:3, 0], polys[:3, 0], ck[:, 0]
     scalar = np.isscalar(r)
     rr = np.atleast_1d(np.asarray(r, np.float64))
     if not np.all(np.isfinite(rr) & (rr > 0)):
         raise DomainError("apply_resolvent requires finite r > 0")
     if not (np.isfinite(points_per_unit) and points_per_unit > 0):
         raise InvalidInput("points_per_unit must be finite and positive")
-    chis, polys, weights = _kernel_rates(spec.l, z)
     if r_max is None:
         r_max = 40.0 / np.min(-chis.real)
     q, where = np.unique(rr.ravel(), return_inverse=True)
@@ -559,7 +538,7 @@ def apply_resolvent(
         inner[p] = _inner_sums(hs, chis, x[p], fw[p], offsets[seg[p]], edges[seg[p] + 1] - mid[p])
     tails = np.empty((seg.size, 3), np.complex128)  # rows first[1].. are used
     for p in _panel_chunks(first[1], seg.size):
-        tails[p] = _tail_sums(polys[:3], chis, x[p], fw[p], offsets[seg[p]], mid[p] - edges[seg[p]])
+        tails[p] = _tail_sums(polys, chis, x[p], fw[p], offsets[seg[p]], mid[p] - edges[seg[p]])
     s_in = np.add.reduceat(inner, first[:m])
     s_out = np.add.reduceat(tails[first[1] :], first[1:] - first[1])
     u = np.zeros(m, np.complex128)

@@ -446,6 +446,8 @@ def domain_test_function(
     """
     if index < 0:
         raise InvalidInput("index must be nonnegative")
+    if not (np.isfinite(base_rate) and base_rate > 0):
+        raise InvalidInput("base_rate must be finite and positive")
     probe = condition_rows(spec, np.array([-1.0, -2.0]), include_automatic=True)
     nrows = len(probe)
     nexp = 2 * nrows + 2

@@ -53,10 +53,11 @@ def test_invalid_spec_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("kappa", ("nan", "abc"))
 @pytest.mark.parametrize("command", ("eigfun", "spectrum"))
-def test_nan_kappa_exit_code(capsys, command):
+def test_nan_kappa_exit_code(capsys, command, kappa):
     extra = ("--lambda", "1") if command == "eigfun" else ()
-    code, out, err = run(capsys, command, "--l", "1", "--xi", "1", "--kappa", "nan", *extra)
+    code, out, err = run(capsys, command, "--l", "1", "--xi", "1", "--kappa", kappa, *extra)
     assert code == 2
     assert "error" in err and out == ""
 
@@ -95,12 +96,15 @@ def test_nonfinite_r_bound_exit_code(capsys, flag):
     assert "must be finite" in err and out == ""
 
 
+@pytest.mark.parametrize("header", ("r,f\n", ""), ids=("header", "headerless"))
+@pytest.mark.parametrize("row", (0, 1))
 @pytest.mark.parametrize("column", (0, 1))
-def test_transform_nonfinite_input_exit_code(capsys, tmp_path, column):
+def test_transform_nonfinite_input_exit_code(capsys, tmp_path, column, row, header):
+    # without a header, a non-finite first row is still data, not a header
     rows = [[0.5, 1.0], [1.0, 2.0], [1.5, 1.0]]
-    rows[1][column] = float("nan")
+    rows[row][column] = float("nan")
     path = tmp_path / "f.csv"
-    path.write_text("r,f\n" + "\n".join(f"{a},{b}" for a, b in rows) + "\n")
+    path.write_text(header + "\n".join(f"{a},{b}" for a, b in rows) + "\n")
     code, out, err = run(
         capsys, "transform", "--l", "1", "--xi", "1", "--kappa", "0.0", "--input", str(path)
     )

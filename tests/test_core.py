@@ -58,6 +58,12 @@ def test_kappa_nonfinite_pair_rejected():
     assert Kappa.of("-inf") == Kappa(1.0, 0.0)
 
 
+def test_kappa_of_rejects_a_non_number():
+    for value in ("abc", "", None):
+        with pytest.raises(InvalidSpec):
+            Kappa.of(value)
+
+
 def test_kappa_canonical_idempotent():
     k = Kappa(3.0, 2.0).canonical()
     assert k.den == 1.0 and k.num == 1.5

@@ -127,3 +127,9 @@ def test_quad_semiaxis_scaled_decay():
 def test_quad_semiaxis_rejects_nondecaying():
     with pytest.raises((QuadratureFailure, InvalidInput)):
         quad_semiaxis(lambda r: np.ones_like(np.asarray(r)), -1.0)
+    with pytest.raises(InvalidInput):
+        quad_semiaxis(lambda r: np.exp(-np.asarray(r)), np.nan)
+    with pytest.raises(InvalidInput):
+        quad_semiaxis(lambda r: np.exp(-np.asarray(r)), 1.0, tol=np.nan)
+    # an infinite decay rate still integrates, over (0, 1) and (0, 2)
+    assert quad_semiaxis(lambda r: np.exp(-50 * np.asarray(r)), np.inf) == pytest.approx(0.02)

@@ -23,6 +23,7 @@ from radialspec import (
 from radialspec.rayleigh import t3_termwise
 from radialspec.resolvent import (
     PRINTED_TABLE_ERRATA,
+    _kernel_setup,
     basis_d,
     basis_g,
     cross_relation_residuals,
@@ -449,15 +450,16 @@ def test_kernel_cancellation_flags_the_origin_elementwise():
     assert both == pytest.approx([near, far], rel=1e-15)
 
 
-def _setup_caches():
-    from radialspec.resolvent import _coefficients, _kernel_rates, _kernel_setup
-
-    return _coefficients, _kernel_rates, _kernel_setup
-
-
 def test_setup_caches_are_bounded():
-    for cache in _setup_caches():
-        assert 0 < cache.cache_info().maxsize <= 64
+    from radialspec import resolvent
+
+    assert 0 < _kernel_setup.cache_info().maxsize <= 64
+    # the (spec, z) set-up is the module's one cache
+    cached = [
+        v for v in vars(resolvent).values()
+        if hasattr(v, "cache_info") and v.__module__ == resolvent.__name__
+    ]
+    assert cached == [_kernel_setup]
 
 
 def test_kernel_grid_builds_the_setup_once():
@@ -466,14 +468,14 @@ def test_kernel_grid_builds_the_setup_once():
     grid = np.linspace(0.2, 4.0, 20)
 
     def misses_of_a_grid():
-        before = [cache.cache_info().misses for cache in _setup_caches()]
+        before = _kernel_setup.cache_info().misses
         for r in grid:
             for s in grid:
                 kernel(spec, z, float(r), float(s))
-        return [cache.cache_info().misses - b for cache, b in zip(_setup_caches(), before)]
+        return [_kernel_setup.cache_info().misses - before]
 
-    assert misses_of_a_grid() == [1, 1, 1]
-    assert misses_of_a_grid() == [0, 0, 0]
+    assert misses_of_a_grid() == [1]
+    assert misses_of_a_grid() == [0]
 
 
 def _setup_values(spec, z):
@@ -492,8 +494,7 @@ def _setup_values(spec, z):
 
 
 def _cold_values(spec, z):
-    for cache in _setup_caches():
-        cache.cache_clear()
+    _kernel_setup.cache_clear()
     return _setup_values(spec, z)
 
 
@@ -511,15 +512,21 @@ def test_cached_setup_equals_a_cold_build_per_z_type():
 def test_setup_errors_are_raised_on_every_call():
     spec = make_extension_spec(1, 1, -1.0)
     zp = pole_location(spec)
+    calls = []
     for _ in range(2):
         with pytest.raises(PoleError):
             coefficients_closed_form(spec, zp)
         with pytest.raises(PoleError):
             kernel(spec, zp, 1.0, 2.0)
+        # apply_resolvent's set-up lookup comes first: the pole is reported
+        # before the bad r, and f is never sampled
+        with pytest.raises(PoleError):
+            apply_resolvent(spec, zp, lambda s: calls.append(s) or np.exp(-s), np.nan)
         with pytest.raises(SectorError):
             kernel(spec, 1j, 1.0, 2.0)
         with pytest.raises(DomainError):
             kernel(spec, np.exp(0.3j), 0.0, 1.0)
+    assert calls == []
 
 
 def test_coefficient_injection_reaches_a_warm_cache():
@@ -527,18 +534,30 @@ def test_coefficient_injection_reaches_a_warm_cache():
 
     spec = make_extension_spec(2, 1, 0.8)
     z = 0.85 * np.exp(0.5j)
-    clean = coefficients_closed_form(spec, z), kernel(spec, z, 0.7, 1.9)
+    f = _real_test_function(spec)
+    r = np.array([0.3, 1.1, 2.5])
+
+    def values():
+        return (
+            coefficients_closed_form(spec, z),
+            kernel(spec, z, 0.7, 1.9),
+            apply_resolvent(spec, z, f, r).tobytes(),
+        )
+
+    clean = values()
     set_coefficient_injection(((spec.xi, spec.l), 0, "alpha"))
     try:
-        flipped = coefficients_closed_form(spec, z), kernel(spec, z, 0.7, 1.9)
+        flipped = values()
     finally:
         set_coefficient_injection(None)
     assert flipped[0].alpha[0] == -clean[0].alpha[0]
     assert flipped[0].beta.tobytes() == clean[0].beta.tobytes()
     assert flipped[1].total != clean[1].total
-    restored = coefficients_closed_form(spec, z), kernel(spec, z, 0.7, 1.9)
+    assert flipped[2] != clean[2]
+    restored = values()
     assert restored[0].alpha.tobytes() == clean[0].alpha.tobytes()
     assert restored[1] == clean[1]
+    assert restored[2] == clean[2]
 
 
 def test_cached_coefficients_are_read_only():
@@ -556,13 +575,13 @@ def test_cached_coefficients_are_read_only():
 def test_far_factor_equals_the_shifted_closed_form_bit_for_bit(l, z):
     # G_k = g_k e^{-chi_k r} on the Gauss nodes that apply_resolvent
     # integrates over at its default r_max and density: taken as a Horner
-    # pass over _kernel_rates' coefficients, without the e^{0 r} pass, it
-    # must not move a value
+    # pass over the set-up's P_g rows, as apply_resolvent takes them, without
+    # the e^{0 r} pass, it must not move a value
     from radialspec.quadrature import panel_rule
     from radialspec.rayleigh import _eval_split, _horner_inv
-    from radialspec.resolvent import _kernel_rates
 
-    chis, polys, _ = _kernel_rates(l, z)
+    rates, polys, _, _ = _kernel_setup(make_extension_spec(l, 1, 0.5), z, False)
+    chis, polys = rates[:3, 0], polys[:3, 0]
     r_max = 40.0 / min(-chi.real for chi in chis)
     x = panel_rule(0.0, r_max, int(np.ceil(8 * r_max)))[0]
     for k, chi in enumerate(chis):
@@ -598,9 +617,8 @@ def test_kernel_rows_equal_term_data_bit_for_bit(l, z):
     # kernel and eval_radial(basis_g(...)) build D_l e^{+-chi r}'s polynomial
     # factors through one numpy path, so they round alike
     from radialspec.rayleigh import term_data
-    from radialspec.resolvent import _kernel_rates
 
-    rows = _kernel_rates(l, z)[1]
+    rows = _kernel_setup(make_extension_spec(l, 1, 0.5), z, False)[1][:6, 0]
     for k in range(3):
         assert np.array_equal(rows[k], term_data(basis_g(l, z, k))[1][0])
         assert np.array_equal(rows[3 + k], term_data(basis_d(l, z, k))[1][0])

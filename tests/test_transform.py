@@ -453,6 +453,10 @@ def test_domain_test_function_properties():
             assert ok
     with pytest.raises(InvalidInput):
         domain_test_function(make_extension_spec(1, 1, 0.0), -1)
+    # a rate-0, growing or non-finite base rate breaks "smooth decaying"
+    for base_rate in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            domain_test_function(make_extension_spec(1, 1, 0.0), 0, base_rate)
 
 
 def test_domain_test_function_null_space_matches_scipy():
