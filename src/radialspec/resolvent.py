@@ -17,8 +17,9 @@ grid over (0, r_max) whose panel edges include every output point, f is
 sampled once, each segment between consecutive outputs is summed once, and a
 forward recurrence gives the inner integrals of h_k f while a backward one
 gives the tails of g_k f (Greengard & Rokhlin, "On the numerical solution of
-two-point boundary value problems", CPAM 44, 1991).  The cost is
-O(n_quad + n_out) with n_quad ~ 24 points_per_unit r_max nodes, against
+two-point boundary value problems", CPAM 44, 1991).  The panels are sized
+from the frequency |z| + 24 of the integrands, so the cost is
+O(n_quad + n_out) with n_quad ~ (|z| + 24) r_max + 24 n_out nodes, against
 O(n_out n_quad) for a quadrature per point.
 
 The segment sums are factored per Gauss panel.  A segment is a run of
@@ -60,7 +61,7 @@ from .errors import (
     PoleError,
     SectorError,
 )
-from .quadrature import GAUSS_ORDER, _gauss_legendre, panel_grid
+from .quadrature import GAUSS_ORDER, _UNBOUNDED_OMEGA, _gauss_legendre, panel_grid, panel_width
 from .rayleigh import (
     _BLOCK_BYTES,
     _eval_split,
@@ -473,16 +474,18 @@ def apply_resolvent(
     f,
     r,
     r_max: float = None,
-    points_per_unit: int = 8,
     allow_boundary: bool = False,
 ):
     """u(r) = integral over (0, r_max) of R(r, s; z) f(s) ds for a callable f,
     vectorized in r; r_max defaults to 40 decay lengths of the slowest g_k.
 
-    One composite Gauss grid covers (0, r_max) with panels no wider than
-    1/points_per_unit whose edges include every output point, and f is
-    sampled once on it.  With chi_k the rate of g_k and q_0 < ... < q_{m-1}
-    the distinct outputs, u(q_i) = sum_k c_k [G_k(q_i) A_i + H_k(q_i) B_i],
+    One composite Gauss grid covers (0, r_max) with panels whose edges
+    include every output point, and f is sampled once on it.  Each segment
+    between outputs has max(1, ceil(len / w)) equal panels of the width
+    w = panel_width(|z| + _UNBOUNDED_OMEGA): |chi_k| = |z| bounds every rate
+    of g_k, d_k and h_k, and f is a callable with no frequency bound of its
+    own.  With chi_k the rate of g_k and q_0 < ... < q_{m-1} the distinct
+    outputs, u(q_i) = sum_k c_k [G_k(q_i) A_i + H_k(q_i) B_i],
     where G_k = g_k e^{-chi_k r} and H_k = h_k e^{chi_k r} are bounded, and
     A_i = int_0^{q_i} e^{chi_k (q_i - s)} H_k f ds,
     B_i = int_{q_i}^{r_max} e^{chi_k (s - q_i)} G_k f ds
@@ -504,8 +507,8 @@ def apply_resolvent(
     Memory is O(n_quad) for the grid and f's samples; the sums run in
     chunks of panels, and the closed forms of f (when f evaluates one) and
     H_k run in tiles, so no (n_quad x terms) array is formed.  Peaks under
-    tracemalloc: 13 outputs at the default r_max (about 45k nodes) 3.1 MB,
-    and 1500 outputs with r_max = 2500 (480k nodes) 17-18 MB.
+    tracemalloc: 13 outputs at the default r_max (about 6k nodes) 1.1 MB,
+    and 1500 outputs on (1, 1500) with r_max = 2500 (97k nodes) 7.1 MB.
     """
     rates, polys, _, ck = _kernel_setup(spec, z, allow_boundary)
     chis, polys, weights = rates[:3, 0], polys[:3, 0], ck[:, 0]
@@ -513,8 +516,6 @@ def apply_resolvent(
     rr = np.atleast_1d(np.asarray(r, np.float64))
     if not np.all(np.isfinite(rr) & (rr > 0)):
         raise DomainError("apply_resolvent requires finite r > 0")
-    if not (np.isfinite(points_per_unit) and points_per_unit > 0):
-        raise InvalidInput("points_per_unit must be finite and positive")
     if r_max is None:
         r_max = 40.0 / np.min(-chis.real)
     q, where = np.unique(rr.ravel(), return_inverse=True)
@@ -525,7 +526,8 @@ def apply_resolvent(
     hs = [h_solution(spec, z, k, allow_boundary) for k in range(3)]
     m = q.size
     edges = np.concatenate(([0.0], q, [r_max]))
-    npanels = np.maximum(1, np.ceil(np.diff(edges) * points_per_unit)).astype(np.int64)
+    width = panel_width(abs(z) + _UNBOUNDED_OMEGA)
+    npanels = np.maximum(1, np.ceil(np.diff(edges) / width)).astype(np.int64)
     x, w, mid, half = panel_grid(edges[:-1], edges[1:], npanels)
     fw = (w.ravel() * f(x.ravel())).reshape(x.shape)
     # segments 0..m-1 end at an output (inner sums), 1..m start at one

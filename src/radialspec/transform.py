@@ -66,18 +66,13 @@ from .errors import (
     GridError,
     InvalidInput,
 )
-from .quadrature import panel_grid, panel_rule
+from .quadrature import _UNBOUNDED_OMEGA, panel_grid, panel_rule, panel_width
 from .rayleigh import eval_radial, t3_coefficients
 from .spectrum import _basis_matvec, _basis_rmatvec, bound_state
 
 DEFAULT_LAMBDA_MAX = 8.0
 # end of the first spectral panel (0, lambda_min) and start of the geometric stack
 DEFAULT_LAMBDA_MIN = 1e-3
-# the largest half-panel phase omega_max w / 2 of radial_rule's panels, 4 rad
-# below where the Gauss-24 error starts to climb
-_HALF_PANEL_PHASE = 12.0
-# omega_max of an integrand without a frequency bound: 24 nodes per unit of r
-_UNBOUNDED_OMEGA = 24.0
 
 
 @dataclass(frozen=True)
@@ -175,14 +170,9 @@ def _default_r_max(f):
 def radial_rule(r_max: float, omega_max: float = _UNBOUNDED_OMEGA):
     """Composite Gauss nodes and weights on (0, r_max) for integrands of
     frequency at most omega_max: max(8, ceil(r_max / w)) equal 24-node
-    panels, w = 2 _HALF_PANEL_PHASE / omega_max, so no panel sees a
-    half-panel phase omega_max w / 2 above _HALF_PANEL_PHASE = 12.  A 24-node
-    Gauss panel integrates e^{i omega' x} over [-1, 1] to 1.5e-15 at
-    omega' = 8, 2.8e-15 at 12, 2.8e-15 at 16, 3.2e-14 at 20 and 8.1e-11 at
-    24.  The default omega_max, for integrands of unknown frequency, gives
-    24 nodes per unit of r."""
-    width = 2.0 * _HALF_PANEL_PHASE / omega_max
-    return panel_rule(0.0, r_max, max(8, int(np.ceil(r_max / width))))
+    panels of width w = panel_width(omega_max).  The default omega_max, for
+    integrands of unknown frequency, gives 24 nodes per unit of r."""
+    return panel_rule(0.0, r_max, max(8, int(np.ceil(r_max / panel_width(omega_max)))))
 
 
 def _frequency_bound(f, b, lam_max: float) -> float:

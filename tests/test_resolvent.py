@@ -222,9 +222,10 @@ SPECS = [
 Z_APPLY = 0.9 * np.exp(1j * np.pi / 7)
 
 
-def _loop_apply_resolvent(spec, z, f, r, r_max=None, points_per_unit=8):
+def _loop_apply_resolvent(spec, z, f, r, r_max=None):
     """The per-point quadrature apply_resolvent replaced, kept as the oracle:
-    fresh Gauss panels over (0, r_i) and (r_i, r_max) for every output point."""
+    fresh Gauss panels over (0, r_i) and (r_i, r_max) for every output point,
+    8 of them per unit of r whatever z is."""
     from radialspec.quadrature import panel_rule
 
     rr = np.atleast_1d(np.asarray(r, np.float64))
@@ -236,9 +237,9 @@ def _loop_apply_resolvent(spec, z, f, r, r_max=None, points_per_unit=8):
         gk = basis_g(spec.l, z, k)
         hk = h_solution(spec, z, k)
         for i, ri in enumerate(rr):
-            x1, w1 = panel_rule(0.0, ri, max(8, int(np.ceil(ri * points_per_unit))))
+            x1, w1 = panel_rule(0.0, ri, max(8, int(np.ceil(ri * 8))))
             inner = np.sum(w1 * eval_radial(hk, x1) * f(x1))
-            x2, w2 = panel_rule(ri, r_max, max(8, int(np.ceil((r_max - ri) * points_per_unit))))
+            x2, w2 = panel_rule(ri, r_max, max(8, int(np.ceil((r_max - ri) * 8))))
             tail = np.sum(w2 * eval_radial(gk, x2) * f(x2))
             out[i] += ck * (eval_radial(gk, ri) * inner + eval_radial(hk, ri) * tail)
     return out
@@ -249,18 +250,22 @@ def _real_test_function(spec, index=1):
     return lambda s: np.real(eval_radial(f, s))
 
 
+# the panel width follows |z| + 24, while the oracle keeps 8 panels per unit
+@pytest.mark.parametrize(
+    "z", [Z_APPLY, 0.3 * np.exp(1j * np.pi / 7), 3.0 * np.exp(1j * np.pi / 7)], ids=["z0.9", "z0.3", "z3"]
+)
 @pytest.mark.parametrize("l,xi,kappa", SPECS)
-def test_apply_resolvent_matches_per_point_loop(l, xi, kappa):
+def test_apply_resolvent_matches_per_point_loop(l, xi, kappa, z):
     spec = make_extension_spec(l, xi, kappa)
     f = _real_test_function(spec)
     # unsorted, with a repeat, one point below r_switch of h_k
     r = np.array([1.3, 0.4, 2.0, 0.4, 5.5, 0.05])
-    got = apply_resolvent(spec, Z_APPLY, f, r)
-    ref = _loop_apply_resolvent(spec, Z_APPLY, f, r)
+    got = apply_resolvent(spec, z, f, r)
+    ref = _loop_apply_resolvent(spec, z, f, r)
     assert got.shape == r.shape
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
     assert got[1] == got[3]
-    one = apply_resolvent(spec, Z_APPLY, f, 2.0)
+    one = apply_resolvent(spec, z, f, 2.0)
     assert np.isscalar(one)
     assert abs(one - ref[2]) <= 1e-11 * np.max(np.abs(ref))
 
@@ -285,8 +290,7 @@ def test_apply_resolvent_large_r_is_finite():
     spec = make_extension_spec(2, 2, 0.8)
     f = lambda s: np.exp(-0.125 * (s - 1500.0) ** 2)
     r = np.array([1497.0, 1500.0, 1503.0])
-    # two panels per unit keep the 2500-unit grid small; f is smooth on that scale
-    got = apply_resolvent(spec, Z_APPLY, f, r, r_max=2500.0, points_per_unit=2)
+    got = apply_resolvent(spec, Z_APPLY, f, r, r_max=2500.0)
     assert np.all(np.isfinite(got))
     for ri, ui in zip(r, got):
         direct = 0.0
@@ -408,10 +412,6 @@ def test_kernel_rejects_nonfinite_points(bad):
         ({"r_max": np.nan}, DomainError),
         ({"r_max": 2.0}, DomainError),
         ({"r_max": 1.5}, DomainError),
-        ({"points_per_unit": np.nan}, InvalidInput),
-        ({"points_per_unit": np.inf}, InvalidInput),
-        ({"points_per_unit": 0}, InvalidInput),
-        ({"points_per_unit": -4}, InvalidInput),
     ],
 )
 def test_apply_resolvent_rejects_bad_input(kwargs, error):
@@ -594,14 +594,20 @@ def test_far_factor_equals_the_shifted_closed_form_bit_for_bit(l, z):
     [(1, 1, 0.5, 1.15 * np.exp(0.15j), 1), (2, 1, -1.0, 0.7 * np.exp(0.25j), 0)],
 )
 def test_apply_resolvent_memory_is_bounded(l, xi, kappa, z, index):
-    # 13 outputs at the default r_max (about 230, 45k nodes): f's samples and
+    # 13 outputs at the default r_max (about 230, 6k nodes): f's samples and
     # the per-term arrays are O(n), and no (n x terms) temporary is whole-grid
     import tracemalloc
 
     spec = make_extension_spec(l, xi, kappa)
     f = _real_test_function(spec, index)
     r = 1.2 + 0.15 * np.arange(-6.0, 7.0)
-    apply_resolvent(spec, z, f, r)
+    nodes = []
+    apply_resolvent(spec, z, lambda s: nodes.append(np.size(s)) or f(s), r)
+    # every segment between outputs gets ceil(len / w) 24-node panels of
+    # width w = 24 / (|z| + 24), at least one
+    r_max = 40.0 / min(-np.real(g_rate(z, k)) for k in range(3))
+    lengths = np.diff(np.concatenate(([0.0], r, [r_max])))
+    assert nodes == [24 * np.sum(np.maximum(1, np.ceil(lengths / (24.0 / (abs(z) + 24.0)))))]
     tracemalloc.start()
     try:
         apply_resolvent(spec, z, f, r)
@@ -625,7 +631,7 @@ def test_kernel_rows_equal_term_data_bit_for_bit(l, z):
 
 
 def test_apply_resolvent_factors_its_exponentials(monkeypatch):
-    # 13 outputs at the default r_max (about 45k nodes): the segment sums
+    # 13 outputs with r_max = 2000 (about 50k nodes): the segment sums
     # take one complex exponential per panel and per Gauss offset of a
     # segment, not one per node and k.  Counted: the factors, and every
     # term of the closed forms of h_k (inner nodes and outputs) and g_k
@@ -648,11 +654,11 @@ def test_apply_resolvent_factors_its_exponentials(monkeypatch):
     z = 1.15 * np.exp(0.15j)
     f = _real_test_function(spec, 1)
     r = 1.2 + 0.15 * np.arange(-6.0, 7.0)
-    got = apply_resolvent(spec, z, lambda s: nodes.append(np.size(s)) or f(s), r)
+    got = apply_resolvent(spec, z, lambda s: nodes.append(np.size(s)) or f(s), r, r_max=2000.0)
     n_quad = nodes[0]
     assert n_quad > 40_000
     assert 0 < sum(counts) < 3 * n_quad / 5
-    ref = _loop_apply_resolvent(spec, z, f, r[::4])
+    ref = _loop_apply_resolvent(spec, z, f, r[::4], r_max=2000.0)
     assert np.max(np.abs(got[::4] - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
