@@ -37,11 +37,10 @@ it once, and the tiles slice it.  It holds each row's closed-form terms,
 origin series (the series of the four unit rates, scaled by lambda^m) and
 switch radius, and the grid's shared panels (_SharedPanels.search), so a
 grid is searched for them once and each contraction only cuts them at its r.
-Each row's canonical sign comes from a scan of 24 points (_scan_signs),
-walked in grid order, whose shared rows take their exponentials from the
-same panel and offset factors, (n_panels + 24) 24 exponentials in all; the
-set-up folds it into the row's terms and series once, so the tiles and the
-factored sums evaluate u^lambda itself and never apply a sign.
+A row is the closed form itself, whose phase p/|p| is continuous in lambda,
+so c(lambda) has no jump that the closed form lacks: no overall sign is
+chosen per row, since the density u(r) u(s) and the transform, which meets
+each row twice, do not depend on it.
 """
 
 from __future__ import annotations
@@ -69,11 +68,13 @@ from .rayleigh import (
 from .resolvent import POLE_SCALE, _denominator, kernel, pole_location
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
-# fixed scan used only to pick the overall sign of an eigenfunction
-_SIGN_SCAN = np.linspace(0.25, 6.0, 24)
 # tiles of the continuous basis: the fewest lambda rows of a tile (each
-# complex temporary stays within rayleigh's _BLOCK_BYTES)
+# complex temporary stays within rayleigh's _BLOCK_BYTES), and the fewest
+# columns its height is sized for: each row also slices about 240 bytes of
+# the set-up (terms, series, radius), so a short r still keeps a tile's
+# slices within _BLOCK_BYTES / 3
 _MIN_ROWS = 16
+_MIN_COLS = 24
 # rho_1 of the closed-form pair, up to conjugation (see _rho1), and the
 # -Re rho_1 that _pair_exponentials takes, which is one ulp below -Re _RHO1
 _RHO1 = -_phase(-1 / 6)
@@ -175,23 +176,13 @@ def _eigenfunction_terms(spec: ExtensionSpec, lam):
     return pref, np.stack(amps, axis=-1), rates, p
 
 
-def _canonical_signs(vals):
-    """+-1 per row of real values (an eigenfunction's on _SIGN_SCAN): the sign
-    of the first value whose magnitude exceeds 5% of the row's largest."""
-    mags = np.abs(vals)
-    first = np.argmax(mags > 0.05 * np.max(mags, axis=-1, keepdims=True), axis=-1)
-    lead = np.take_along_axis(vals, first[..., None], axis=-1)[..., 0]
-    return np.where(lead < 0, -1.0, 1.0)
-
-
 def continuous_eigenfunction(spec: ExtensionSpec, lam: float) -> ContinuousEigenfunction:
-    """Real continuous-spectrum eigenfunction at lambda > 0, sign-canonicalized."""
+    """Real continuous-spectrum eigenfunction at lambda > 0: the closed form
+    of _eigenfunction_terms, whose phase p/|p| is continuous in lambda."""
     if not (np.isfinite(lam) and lam > 0):
         raise DomainError("lambda must be finite and positive")
     pref, amps, rates, p = _eigenfunction_terms(spec, lam)
     u = RadialFunction(ExponentialSum(amps, rates), spec.l, pref)
-    if _canonical_signs(np.real(eval_radial(u, _SIGN_SCAN))) < 0:
-        u = u.rescaled(-1.0)
     return ContinuousEigenfunction(float(lam), spec, float(np.angle(p)), u)
 
 
@@ -255,20 +246,6 @@ def _direct_pairs(lam, r, tilt):
     return lambda lo: _pair_exponentials(np.multiply.outer(lam, r[lo:]), tilt)
 
 
-def _factored_pairs(e, d, panel, offset):
-    """pairs for _split_rows on rows lambda = a_p + delta_j: the products
-    E_k[p] D_k[j] on r[lo:] of the panel factors e and the offset factors d
-    (each (e_0, e_1) of _pair_exponentials), p = panel and j = offset per row,
-    each formed in its gathered rows of E: a temporary fewer, which keeps the
-    sign scan's chunks from faulting in fresh pages."""
-
-    def pairs(lo):
-        rows = tuple(ek[panel, lo:] for ek in e)
-        return tuple(np.multiply(ek, dk[offset, lo:], out=ek) for ek, dk in zip(rows, d))
-
-    return pairs
-
-
 def _checked_lambda(lam) -> np.ndarray:
     lam = np.asarray(lam, np.float64)
     if not np.all(np.isfinite(lam) & (lam > 0)):
@@ -290,15 +267,13 @@ _SETUP_CACHE = 2
 def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
     """((radii, lam, tilt, polys, coefs), shared) of the float64 lambda grid
     whose bytes are lam_bytes: the closed-form terms and origin series of
-    every row that _split_rows evaluates, each row's canonical sign
-    (_scan_signs) folded into them, so they evaluate u^lambda itself, and the
-    grid's shared panels before any cut (_SharedPanels.search, None without
-    them).  All of it depends on (spec, lambda) alone, so it is cached per
-    (spec, lambda grid) across calls, O(n_lambda) in memory, and its arrays
-    are read-only: a forward, the inverse on its grid and a parseval_check
-    search the grid for shared panels once, and each contraction only cuts
-    them at its r.  Negating a value is exact, so the signed rows give the
-    unsigned rows' values times their sign, bit for bit.
+    every row that _split_rows evaluates, those of u^lambda as
+    _eigenfunction_terms gives it, and the grid's shared panels before any
+    cut (_SharedPanels.search, None without them).  All of it depends on
+    (spec, lambda) alone, so it is cached per (spec, lambda grid) across
+    calls, O(n_lambda) in memory, and its arrays are read-only: a forward,
+    the inverse on its grid and a parseval_check search the grid for shared
+    panels once, and each contraction only cuts them at its r.
 
     The rates are lambda rho_k with the four constants rho_k = (i, -i, rho_1,
     conj rho_1) of _unit_rates, so the origin series' sum_k a_k
@@ -315,9 +290,6 @@ def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
     unit = _unit_rates(spec)
     coefs *= _series_coefficients(spec.l, np.asfortranarray(a), unit, SERIES_ORDER).real
     shared = _SharedPanels.search(lam)
-    signs = _scan_signs(lam, tilt, radii, polys, coefs, shared)
-    polys *= signs[:, :, None]
-    coefs *= signs
     held = (radii, polys, coefs)
     if shared is not None:
         held += (shared.rows, shared.first, shared.offsets)
@@ -326,39 +298,14 @@ def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
     return (radii, lam, tilt, polys, coefs), shared
 
 
-def _scan_signs(lam, tilt, radii, polys, coefs, shared):
-    """The canonical sign of every row (shape (n, 1)) of the unsigned polys
-    and coefs from its values on _SIGN_SCAN, walking the shared rows and then the other
-    rows in grid order, in chunks whose temporaries each stay within
-    _BLOCK_BYTES.  A row a_p + delta_j of the shared panels takes its
-    exponentials as products E[p, s] D[j, s] of the (panels + 24) 24
-    exponentials E = e^{rho a_p s} and D = e^{rho delta_j s}
-    (_factored_pairs); every other row takes one per scan point."""
-    direct = _direct_rows(lam.size, shared)
-    sources = []
-    if shared is not None:
-        e = _pair_exponentials(np.multiply.outer(shared.first, _SIGN_SCAN), tilt)
-        d = _pair_exponentials(np.multiply.outer(shared.offsets, _SIGN_SCAN), tilt)
-        sources.append((shared.rows, lambda at: _factored_pairs(e, d, *np.divmod(at, GAUSS_ORDER))))
-    sources.append((direct, lambda at: _direct_pairs(lam[direct[at]], _SIGN_SCAN, tilt)))
-    signs = np.empty((lam.size, 1))
-    chunk = _TILE_PAIRS // _SIGN_SCAN.size
-    for rows, pairs in sources:
-        for start in range(0, rows.size, chunk):
-            at = np.arange(start, min(start + chunk, rows.size))
-            row = rows[at]
-            scan = _split_rows(_SIGN_SCAN, radii[row], polys[row], coefs[row], pairs(at))
-            signs[row, 0] = _canonical_signs(scan)
-    return signs
-
-
 def _tiles(setup, idx, r):
     """Yield (rows, cols, U) over tiles of the rows idx of a _row_setup at
     sorted r >= 0, U the basis at the lambdas idx[rows] and radii r[cols]: a
     block holds as many rows as a tile of all of r allows, at least _MIN_ROWS
-    and at most a chunk of the sign scan, and slices the cached set-up."""
+    and at most as many as a tile of _MIN_COLS columns, and slices the cached
+    set-up."""
     (radii, lam, tilt, polys, coefs), _ = setup
-    height = max(_MIN_ROWS, _TILE_PAIRS // max(r.size, _SIGN_SCAN.size))
+    height = max(_MIN_ROWS, _TILE_PAIRS // max(r.size, _MIN_COLS))
     for start in range(0, idx.size, height):
         rows = slice(start, start + height)
         at = idx[rows]
@@ -373,7 +320,7 @@ def _tiles(setup, idx, r):
 def _basis_blocks(spec: ExtensionSpec, lam, r):
     """Yield (rows, cols, U) over tiles of the continuous basis, with
     U[i, j] = u^{lam[rows][i]}(r[cols][j]) at sorted r >= 0: the values of
-    continuous_eigenfunction(spec, lambda).u, real and with its sign.
+    continuous_eigenfunction(spec, lambda).u, real.
 
     A tile keeps each complex temporary within _BLOCK_BYTES, and spans all
     of r when that still leaves _MIN_ROWS lambdas, so memory stays bounded
@@ -395,7 +342,7 @@ def _basis_blocks(spec: ExtensionSpec, lam, r):
 #
 #   A_kb(lambda) r^-b e^{rho_k lambda r} = A_kb(lambda) r^-b e^{rho_k a_p r} e^{rho_k delta_j r}
 #
-# with rho_0 = i and rho_1 = -e^{-+i pi/6} (_rho1) and A_kb the signed
+# with rho_0 = i and rho_1 = -e^{-+i pi/6} (_rho1) and A_kb the closed-form
 # amplitude times the D_l polynomial coefficient of r^-b, b = 0..l.  So on the
 # columns r >= _FACTOR_CUT / (the panel's smallest node) a contraction with the basis
 # is, per (k, b), one matrix product over r between the panel factors
@@ -437,7 +384,7 @@ class _SharedPanels:
     offsets delta_j.  Panel p is factored on the columns from cuts[p] on, the
     cut of its run; the panels of a lambda grid before any cut (search, held
     by _row_setup) have cuts None.  matvec and rmatvec take the amplitudes
-    of the rows as _row_setup holds them, each row's sign folded in."""
+    of the rows as _row_setup holds them."""
 
     rows: np.ndarray
     first: np.ndarray
@@ -571,7 +518,7 @@ def _basis_matvec(spec: ExtensionSpec, lam, r, x) -> np.ndarray:
     """c = U x for the basis U of _basis_blocks at sorted r >= 0 and real x,
     without forming U: the shared panels' columns beyond their cuts by the
     factored sums, everything else by tiles.  Each row adds its tiles first,
-    then its factored sums, whose amplitudes are the signed polys of its row."""
+    then its factored sums, whose amplitudes are the polys of its row."""
     lam = _checked_lambda(lam)
     setup = _row_setup(spec, lam.tobytes())
     (_, _, tilt, polys, _), _ = setup

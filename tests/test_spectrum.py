@@ -21,7 +21,13 @@ from radialspec import (
 )
 from radialspec.core import ExtensionSpec
 from radialspec.quadrature import quad_semiaxis
-from radialspec.rayleigh import SERIES_ORDER, _series_coefficients, monomial_coefficient, r_switch
+from radialspec.rayleigh import (
+    SERIES_ORDER,
+    _series_coefficients,
+    exponential_poly,
+    monomial_coefficient,
+    r_switch,
+)
 from radialspec import spectrum
 from radialspec.spectrum import (
     _basis_blocks,
@@ -122,10 +128,9 @@ def test_basis_blocks_match_eigenfunctions(l, xi, kappa, r_max):
     # rows whose grid straddles r_switch (series below it, closed form above)
     switch = np.array([r_switch(e.u) for e in eigs])
     assert np.any((r[0] <= switch) & (switch < r[-1]))
-    if kappa == -1.3:
-        # rows of both canonical signs: flipped against the raw closed form, and not
-        flipped = [e.u.scale == -complex(_eigenfunction_terms(spec, e.lam)[0]) for e in eigs]
-        assert 0 < sum(flipped) < len(flipped)
+    # each eigenfunction is the closed form itself, with no sign of its own
+    pref = _eigenfunction_terms(spec, lam)[0]
+    assert [e.u.scale for e in eigs] == [complex(p) for p in pref]
 
 
 def test_basis_blocks_reject_bad_lambda():
@@ -186,7 +191,7 @@ def test_rmatvec_rows_match_one_row_at_a_time(l, xi, kappa):
 
 
 def test_basis_set_up_once_per_lambda_grid(monkeypatch):
-    # the (spec, lambda) set-up of the basis rows (terms, series, sign) is
+    # the (spec, lambda) set-up of the basis rows (terms and series) is
     # made once for the whole lambda grid, not once per block of tile rows,
     # and cached per (spec, lambda grid): a slot-0-sized forward (n_r = 840,
     # many 16-row blocks and several runs of shared panels) builds the terms
@@ -251,41 +256,57 @@ def _panels_one_ulp_off(lam):
     return nodes.ravel()
 
 
+# lambda grids with shared panels, without them, and with half the uniform
+# panels one ulp off, and whether search finds shared panels on each
+SETUP_GRIDS = (
+    (spectral_rule(10.5)[0], True),
+    (spectral_rule(70.6, 16.0)[0], True),
+    (np.geomspace(1e-3, 12.0, 480), False),
+    (_panels_one_ulp_off(spectral_rule(10.5)[0]), True),
+)
+
+
 @pytest.mark.parametrize("l,xi,kappa", SIGN_CASES)
-def test_setup_signs_are_the_eigenfunction_signs(l, xi, kappa, monkeypatch):
-    # the set-up folds into every row's terms and series, bit for bit, the
-    # canonical sign of continuous_eigenfunction (the sign that rescaled its
-    # raw closed form), on grids with shared panels (whose scan takes its
-    # exponentials from panel and offset factors), without them, and with
-    # half the uniform panels one ulp off; the unsigned terms are those the
-    # set-up hands its sign scan
-    scanned = []
-    scan_signs = spectrum._scan_signs
-
-    def spy(lam, tilt, radii, polys, coefs, shared):
-        scanned.append((polys.copy(), coefs.copy()))
-        return scan_signs(lam, tilt, radii, polys, coefs, shared)
-
-    monkeypatch.setattr(spectrum, "_scan_signs", spy)
+def test_setup_polys_are_the_closed_form_terms(l, xi, kappa):
+    # the set-up's closed-form rows are the terms 0 and 2 of
+    # _eigenfunction_terms times their D_l polynomials, bit for bit, on every
+    # kind of grid
     spec = make_extension_spec(l, xi, kappa)
-    grids = (
-        (spectral_rule(10.5)[0], True),
-        (spectral_rule(70.6, 16.0)[0], True),
-        (np.geomspace(1e-3, 12.0, 480), False),
-        (_panels_one_ulp_off(spectral_rule(10.5)[0]), True),
-    )
-    for lam, has_shared in grids:
-        (_, _, _, polys, coefs), shared = spectrum._row_setup(spec, lam.tobytes())
+    for lam, has_shared in SETUP_GRIDS:
+        (_, _, _, polys, _), shared = spectrum._row_setup(spec, lam.tobytes())
         assert (shared is not None) == has_shared
-        pref = _eigenfunction_terms(spec, lam)[0]
-        want = np.sign(np.real([continuous_eigenfunction(spec, la).u.scale for la in lam] / pref))
-        unsigned_polys, unsigned_coefs = scanned.pop()
-        assert polys.tobytes() == (want[:, None, None] * unsigned_polys).tobytes()
-        assert coefs.tobytes() == (want[:, None] * unsigned_coefs).tobytes()
+        pref, amps, rates, _ = _eigenfunction_terms(spec, lam)
+        a = pref[:, None] * amps
+        assert polys.tobytes() == (a[:, ::2, None] * exponential_poly(l, rates[:, ::2])).tobytes()
+
+
+@pytest.mark.parametrize("l,xi,kappa", SIGN_CASES)
+def test_basis_rows_have_no_sign_jump(l, xi, kappa):
+    # u^lambda is continuous in lambda, so neighbouring rows of the basis
+    # correlate positively, |u_i - u_i+1| < |u_i + u_i+1|, on a short r grid
+    # (lambda r <= 2) where a row does not yet oscillate; an overall sign
+    # chosen per row shows as a pair that breaks this.  Each octave of lambda,
+    # with the row below it, gets its own grid, reaching lambda r >= 1 on its
+    # rows: one grid for all of lambda would sample the smallest rows where
+    # u ~ C(lambda) r^{l+1} alone, and C has zeros (l=1, xi=2, kappa=-0.01 at
+    # lambda near 0.0116).  The least cosine of a pair reads 0.92
+    spec = make_extension_spec(l, xi, kappa)
+    for lam, _ in SETUP_GRIDS[:3]:
+        octave = np.floor(np.log2(lam))
+        for k in np.unique(octave):
+            idx = np.flatnonzero(octave == k)
+            rows = np.arange(max(idx[0] - 1, 0), idx[-1] + 1)
+            r = np.linspace(0.0, 2.0 / lam[rows[-1]], 33)[1:]
+            u = np.full((rows.size, r.size), np.nan)
+            for block, cols, values in _basis_blocks(spec, lam[rows], r):
+                u[block, cols] = values
+            minus = np.linalg.norm(u[1:] - u[:-1], axis=1)
+            plus = np.linalg.norm(u[1:] + u[:-1], axis=1)
+            assert np.all(minus < plus), lam[rows[1:]][minus >= plus]
 
 
 @pytest.mark.parametrize("l,xi,kappa", SIGN_CASES + [(1, 1, -0.8)])
-def test_taylor_rows_match_the_series_of_the_rates(l, xi, kappa, monkeypatch):
+def test_taylor_rows_match_the_series_of_the_rates(l, xi, kappa):
     # the set-up's origin series is lambda^m sum_k a_k rho_k^m, the series
     # coefficients of the four unit rates rho_k scaled by lambda^m.  Against
     # _series_coefficients on the rates lambda rho_k it agrees to the
@@ -294,17 +315,12 @@ def test_taylor_rows_match_the_series_of_the_rates(l, xi, kappa, monkeypatch):
     # 2e-6 the low orders cancel to about 1e-19.  The rates' own rounding,
     # up to eps / 2 each, grows m-fold in their m-th powers, which sets the
     # (10 + m / 2) eps of the comparison; against the exact sum of the same
-    # float64 terms the set-up's rows keep within 4 eps.  The set-up's rows
-    # carry each row's sign, so the references carry the signs of its scan
-    signs = []
-    scan_signs = spectrum._scan_signs
-    monkeypatch.setattr(spectrum, "_scan_signs", lambda *args: signs.append(scan_signs(*args)) or signs[-1])
+    # float64 terms the set-up's rows keep within 4 eps
     spec = make_extension_spec(l, xi, kappa)
     lam = spectral_rule(70.6, 16.0)[0]
     (_, _, _, _, coefs), _ = spectrum._row_setup(spec, lam.tobytes())
-    (sign,) = signs
     pref, amps, rates, _ = _eigenfunction_terms(spec, lam)
-    a = sign * pref[:, None] * amps
+    a = pref[:, None] * amps
     m = np.arange(l, SERIES_ORDER + l + 1)
     unit = np.array([abs(monomial_coefficient(l, k)) / factorial(k) for k in m])
     scale = unit * lam[:, None] ** m * np.sum(np.abs(a), axis=1)[:, None]
@@ -544,14 +560,18 @@ def test_continuous_kappa_zero_matches_free_form():
     assert err < 1e-12
 
 
-def test_sign_canonicalization():
+def test_eigenfunction_is_the_closed_form():
+    # continuous_eigenfunction returns the terms of _eigenfunction_terms as
+    # they are, bit for bit: no overall sign of its own
     for l, xi in ALL_PAIRS:
-        e = continuous_eigenfunction(make_extension_spec(l, xi, 0.9), 1.3)
-        scan = np.linspace(0.25, 6.0, 24)
-        vals = np.real(eval_radial(e.u, scan))
-        mags = np.abs(vals)
-        idx = int(np.argmax(mags > 0.05 * np.max(mags)))
-        assert vals[idx] > 0
+        spec = make_extension_spec(l, xi, 0.9)
+        for lam in (0.05, 1.3, 7.0):
+            e = continuous_eigenfunction(spec, lam)
+            pref, amps, rates, p = _eigenfunction_terms(spec, lam)
+            assert e.u.scale == pref
+            assert e.u.base.amplitudes.tobytes() == amps.tobytes()
+            assert e.u.base.rates.tobytes() == rates.tobytes()
+            assert e.phase == float(np.angle(p))
 
 
 @pytest.mark.parametrize("l,xi", ALL_PAIRS)

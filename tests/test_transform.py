@@ -614,12 +614,8 @@ def test_forward_factors_most_of_the_basis(monkeypatch):
     # Count the (lambda, r) pairs the tiles evaluate on the benchmark's
     # largest grid (r_max 70.6), through the pair exponentials and the origin
     # series; the factors E and D of the factored sums are counted apart and
-    # left out.  0.181 of n_lambda n_r stay on the tiles in a slot-0 forward,
-    # and 0.202 in its 500-point inverse on (0.05, 30).  The forward starts
-    # from a cold row set-up, so its counts include the sign scan: the scan's
-    # shared rows count only their panel and offset factors (24 (panels + 24)
-    # pairs), and its grid-order chunks evaluate the band of scan points
-    # around their rows' switch radii in both forms
+    # left out.  0.171 of n_lambda n_r stay on the tiles in a slot-0 forward
+    # from a cold row set-up, and 0.202 in its 500-point inverse on (0.05, 30)
     pairs, near, factored = [], [], []
 
     def exponentials(theta, tilt):
