@@ -2,13 +2,18 @@
 
 Every closed-form object in the library is a finite sum of exponentials
 ``sum_k a_k exp(chi_k r)`` with the Rayleigh operator of order l applied on
-top.  These types are immutable and safe to share between threads.
+top.  These types are immutable: their fields never change, and equality,
+hash and repr read the fields alone.  A RadialFunction also keeps a private
+evaluation set-up (its regularity flag, and what ``rayleigh`` builds on first
+use); each part is written once, deterministically, from the fields, so an
+instance stays safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -180,7 +185,7 @@ class RadialFunction:
             raise InvalidSpec(f"l={self.l} not supported")
         object.__setattr__(self, "scale", complex(self.scale))
 
-    @property
+    @cached_property
     def regular_at_origin(self) -> bool:
         return self.base.is_regular()
 

@@ -15,6 +15,12 @@ to the near-cancelling 1/r poles, so regular functions switch to an origin
 Taylor series there, evaluated as one product of its coefficients with the
 powers of r.
 
+What evaluation needs from f alone (r_switch, the closed form's rates and
+polynomials per derivative order, the series coefficients per order) is
+built once per RadialFunction, on first use, and kept read-only on it, so a
+repeated scalar call pays only for its arithmetic.  A grid on one side of
+r_switch runs its form without masks.
+
 The closed form runs in tiles of r laid out as (terms x points), so every
 ufunc loops over the points and the temporaries stay within _BLOCK_BYTES
 whatever the grid size; each point is computed in the same order in any tile
@@ -92,18 +98,14 @@ class OriginSeries:
         return _shaped_like(r, _eval_series(r.ravel(), self.coefficients))
 
 
-def _require_regular(f: RadialFunction, what: str):
-    if not f.regular_at_origin:
-        raise SingularityError(f"{what} requires a base regular at the origin")
-
-
 def origin_series(f: RadialFunction, order: int = SERIES_ORDER) -> OriginSeries:
-    """Taylor expansion of f around r = 0; only defined for regular bases."""
-    _require_regular(f, "origin_series")
+    """Taylor expansion of f around r = 0; only defined for regular bases.
+    Its coefficients are f's read-only set-up array."""
+    if not f.regular_at_origin:
+        raise SingularityError("origin_series requires a base regular at the origin")
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise Unsupported(f"series order must be in 0..{MAX_SERIES_ORDER}")
-    coefs = _series_coefficients(f.l, f.scale * f.base.amplitudes, f.base.rates, order)
-    return OriginSeries(coefs, order)
+    return OriginSeries(_setup(f).series(f, order), order)
 
 
 def _series_coefficients(l: int, a, chi, order: int):
@@ -138,6 +140,70 @@ def term_data(f: RadialFunction):
     if rates.imag.any() or polys.imag.any():
         return rates, polys
     return rates.real.copy(), polys.real.copy()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Setup:
+    """One RadialFunction's evaluation set-up, kept on it by _setup as
+    SampledFunction keeps its spline.  Each part is built on first use and is
+    read-only: written once, with the same value from any thread."""
+
+    __slots__ = ("switch", "_far", "_series")
+
+    def __init__(self, f: RadialFunction):
+        self.switch = r_switch(f)
+        self._far, self._series = {}, {}
+
+    def closed_form(self, f: RadialFunction, order: int):
+        data = self._far.get(order)
+        if data is None:
+            if order:
+                rates, polys = self.closed_form(f, order - 1)
+                polys = _differentiate_polys(rates, polys)
+            else:
+                rates, polys = term_data(f)
+            data = self._far[order] = _frozen(rates), _frozen(polys)
+        return data
+
+    def series(self, f: RadialFunction, n: int, order: int = 0) -> np.ndarray:
+        """Coefficients of f's derivative of the given order, from f's series to power n."""
+        c = self._series.get((n, order))
+        if c is None:
+            if order:
+                c = self.series(f, n)
+                c = [c[m] * factorial(m) / factorial(m - order) for m in range(order, n + 1)]
+                c = np.array(c, np.complex128)
+            else:
+                c = _series_coefficients(f.l, f.scale * f.base.amplitudes, f.base.rates, n)
+            c = self._series[n, order] = _frozen(c)
+        return c
+
+    def far(self, f: RadialFunction, x, order: int, shift: complex):
+        """f's derivative of the given order times e^{shift x} at a 1-d x, by
+        the closed form (see _eval_split)."""
+        rates, polys = self.closed_form(f, order)
+        return _eval_terms(x, rates + shift if shift else rates, polys)
+
+    def near(self, f: RadialFunction, x, order: int, shift: complex):
+        """The same by the origin series."""
+        n = min(MAX_SERIES_ORDER, SERIES_ORDER + order)
+        out = _eval_series(x, self.series(f, n, order))
+        if shift:
+            out *= np.exp(shift * x)
+        return out
+
+
+def _setup(f: RadialFunction) -> _Setup:
+    """f's evaluation set-up, stored beside its fields on first use."""
+    setup = f.__dict__.get("_setup")
+    if setup is None:
+        setup = _Setup(f)
+        object.__setattr__(f, "_setup", setup)
+    return setup
 
 
 def _horner_inv(polys, inv):
@@ -193,8 +259,9 @@ def _eval_series(r, coefs):
 
 
 def _shaped_like(r: np.ndarray, out: np.ndarray):
-    """Values computed on r.ravel(), as a complex for scalar r, else in r's shape."""
-    return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+    """Values computed on r.ravel(), as a complex for scalar r, else as
+    complex128 in r's shape."""
+    return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape).astype(complex, copy=False)
 
 
 def _differentiate_polys(rates, polys):
@@ -208,6 +275,14 @@ def _differentiate_polys(rates, polys):
     return out
 
 
+def _span(r: np.ndarray):
+    """(min, max) of r as floats, NaN if r holds one; (inf, -inf) if r is empty."""
+    if r.ndim == 0:
+        x = float(r)
+        return x, x
+    return (float(r.min()), float(r.max())) if r.size else (np.inf, -np.inf)
+
+
 def _eval_split(f: RadialFunction, r: np.ndarray, order: int, shift: complex = 0.0):
     """Derivative of the given order at validated float64 r: the closed form
     above r_switch(f), the origin series at or below it (regular bases only).
@@ -215,50 +290,50 @@ def _eval_split(f: RadialFunction, r: np.ndarray, order: int, shift: complex = 0
     A nonzero shift returns the derivative times e^{shift r}: the closed form
     runs on the rates + shift, so a growing term scaled by a decaying shift
     stays bounded, and the series is multiplied by e^{shift r}."""
+    return _eval_spanned(f, r, *_span(r), order, shift)
+
+
+def _eval_spanned(f: RadialFunction, r, lo: float, hi: float, order: int, shift: complex):
+    """_eval_split on r with min lo and max hi: points all on one side of
+    r_switch(f) skip the masks."""
+    setup = _setup(f)
     rr = r.ravel()
-    rs = r_switch(f)
-    out = np.empty(rr.shape, np.complex128)
-    near = rr <= rs if f.regular_at_origin else np.zeros(rr.shape, bool)
-    far = ~near
-    if np.any(far):
-        rates, polys = term_data(f)
-        for _ in range(order):
-            polys = _differentiate_polys(rates, polys)
-        out[far] = _eval_terms(rr[far], rates + shift if shift else rates, polys)
-    if np.any(near):
-        n = min(MAX_SERIES_ORDER, SERIES_ORDER + order)
-        c = origin_series(f, n).coefficients
-        if order:
-            c = np.array(
-                [c[m] * factorial(m) / factorial(m - order) for m in range(order, n + 1)],
-                np.complex128,
-            )
-        out[near] = _eval_series(rr[near], c)
-        if shift:
-            out[near] *= np.exp(shift * rr[near])
+    if not f.regular_at_origin or lo > setup.switch:
+        out = setup.far(f, rr, order, shift)
+    elif hi <= setup.switch:
+        out = setup.near(f, rr, order, shift)
+    else:
+        near = rr <= setup.switch
+        out = np.empty(rr.shape, np.complex128)
+        out[~near] = setup.far(f, rr[~near], order, shift)
+        out[near] = setup.near(f, rr[near], order, shift)
     return _shaped_like(r, out)
 
 
 def eval_radial(f: RadialFunction, r):
     """Evaluate f at r (scalar or array); r = 0 allowed for regular bases."""
     rr = np.asarray(r, np.float64)
-    if np.any(rr < 0.0):
-        raise DomainError("eval_radial requires r >= 0")
-    if np.any(rr == 0.0) and not f.regular_at_origin:
+    lo, hi = _span(rr)
+    # NaN fails every comparison, so this rejects NaN, +-inf and r < 0
+    if not (0.0 <= lo and hi < np.inf):
+        raise DomainError("eval_radial requires finite r >= 0")
+    if lo == 0.0 and not f.regular_at_origin:
         raise SingularityError("r = 0 evaluation of a non-regular function")
-    return _eval_split(f, rr, 0)
+    return _eval_spanned(f, rr, lo, hi, 0, 0.0)
 
 
 def derivative(f: RadialFunction, r, order: int = 1):
-    """Analytic derivative of the given order (0..6) at r > 0."""
+    """Analytic derivative of the given order (0..6) at finite r > 0."""
     if not 0 <= order <= 6:
         raise Unsupported("derivative order must be in 0..6")
     if order == 0:
         return eval_radial(f, r)
     rr = np.asarray(r, np.float64)
-    if np.any(rr <= 0.0):
-        raise DomainError("derivative requires r > 0")
-    return _eval_split(f, rr, order)
+    lo, hi = _span(rr)
+    # NaN fails every comparison, so this rejects NaN, +-inf and r <= 0
+    if not (0.0 < lo and hi < np.inf):
+        raise DomainError("derivative requires finite r > 0")
+    return _eval_spanned(f, rr, lo, hi, order, 0.0)
 
 
 def verify_rayleigh(l: int, chi: complex, r: float) -> float:

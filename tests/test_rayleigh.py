@@ -23,6 +23,7 @@ from radialspec import (
 )
 from radialspec.rayleigh import (
     MAX_SERIES_ORDER,
+    SERIES_ORDER,
     _BLOCK_BYTES,
     _eval_series,
     _eval_terms,
@@ -216,6 +217,32 @@ def test_derivative_order_limits():
         derivative(f, 1.0, 7)
 
 
+@pytest.mark.parametrize(
+    "r",
+    [np.nan, np.inf, -np.inf, [1.0, np.nan], [np.inf, 0.5],
+     [[0.2, 3.0], [-np.inf, 1.0]], [0.5, -1e-300]],
+    ids=["nan", "inf", "-inf", "array-nan", "array-inf", "2d-neg-inf", "negative"],
+)
+def test_eval_and_derivative_reject_r_outside_the_domain(r):
+    # a regular base, so r = 0 is allowed and only the bad point fails
+    f = RadialFunction(ExponentialSum([1.0, -1.0], [1.3j, -0.8]), 2)
+    for call in (lambda: eval_radial(f, r), lambda: derivative(f, r, 0)):
+        with pytest.raises(DomainError, match="finite r >= 0"):
+            call()
+    for order in (1, 3, 6):
+        with pytest.raises(DomainError, match="finite r > 0"):
+            derivative(f, r, order)
+
+
+def test_derivative_rejects_zero_and_empty_r_keeps_its_shape():
+    f = RadialFunction(ExponentialSum([1.0, -1.0], [1.3j, -0.8]), 2)
+    with pytest.raises(DomainError):
+        derivative(f, [0.0, 1.0], 2)
+    for order in (0, 2):
+        got = derivative(f, np.empty((0, 3)), order)
+        assert got.shape == (0, 3) and got.dtype == np.complex128
+
+
 def test_derivative_near_origin_series_path():
     f = RadialFunction(ExponentialSum([1.0, -1.0], [2.0, -2.0]), 1)
     rs = r_switch(f)
@@ -385,3 +412,190 @@ def test_eval_radial_memory_is_bounded_by_the_tiles():
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+# ------------------------------------------------ the evaluation set-up
+
+
+def _setup_cases():
+    """Real and complex closed forms, regular and not."""
+    test_f = domain_test_function(make_extension_spec(2, 1, 0.7))
+    return [
+        pytest.param(test_f, id="test-function"),
+        pytest.param(test_f.rescaled(0.3 + 0.7j), id="rescaled"),
+        pytest.param(
+            continuous_eigenfunction(make_extension_spec(1, 2, -1.3), 0.9).u, id="eigenfunction"
+        ),
+        pytest.param(
+            RadialFunction(ExponentialSum([1.0, 0.5], [-1.0 + 2.0j, -0.3]), 1), id="nonregular"
+        ),
+    ]
+
+
+def _cold(f):
+    return RadialFunction(f.base, f.l, f.scale)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("f", _setup_cases())
+def test_warm_setup_equals_a_cold_copy_bit_for_bit(f):
+    from radialspec.rayleigh import _eval_split
+
+    rs = r_switch(f)
+    below, above = 0.4 * rs, 2.5 * rs + 0.3
+    grids = {
+        "straddle": np.linspace(0.1 * rs, 4.0 * rs + 1.0, 37),
+        "below": np.linspace(0.05 * rs, rs, 9).reshape(3, 3),
+        "above": np.linspace(1.5 * rs + 0.01, 12.0, 20),
+    }
+    points = [below, above, rs, *grids.values()]
+    calls = [lambda g, x, d=d: derivative(g, x, d) for d in range(7)]
+    calls += [lambda g, x: _eval_split(g, np.asarray(x, np.float64), 2, -0.4 + 0.9j)]
+    calls += [lambda g, x: _eval_split(g, np.asarray(x, np.float64), 0, 0.3j)]
+    warm = _cold(f)
+    for call in calls:
+        for x in points:
+            call(warm, x)
+    assert "_setup" in warm.__dict__
+    for call in calls:
+        for x in points:
+            got, want = call(warm, x), call(_cold(f), x)
+            assert type(got) is type(want)
+            assert _bits(got) == _bits(want)
+    if f.regular_at_origin:
+        # SERIES_ORDER + 1 and + 6 are also the truncations of the
+        # derivatives' series, which the warm object has built first
+        for order in (0, 5, SERIES_ORDER, SERIES_ORDER + 1, SERIES_ORDER + 6, MAX_SERIES_ORDER):
+            assert _bits(origin_series(warm, order).coefficients) == _bits(
+                origin_series(_cold(f), order).coefficients
+            )
+        assert _bits(jet_at_origin(warm).d) == _bits(jet_at_origin(_cold(f)).d)
+        assert _bits(eval_radial(warm, 0.0)) == _bits(eval_radial(_cold(f), 0.0))
+
+
+@pytest.mark.parametrize("f", _setup_cases()[:3])
+def test_each_side_of_r_switch_takes_its_own_form(f):
+    # at or below r_switch the origin series, above it the closed form, for
+    # grids on one side (no masks) and for a grid across it, bit for bit
+    rs = r_switch(f)
+    below = np.array([0.0, 0.3 * rs, rs])
+    above = np.array([np.nextafter(rs, np.inf), 1.7 * rs, 6.0])
+    series = origin_series(f).eval
+    rates, polys = term_data(f)
+    closed = lambda x: _eval_terms(x, rates, polys).astype(complex)
+    assert _bits(eval_radial(f, rs)) == _bits(series(rs))
+    assert _bits(eval_radial(f, below)) == _bits(series(below))
+    assert _bits(eval_radial(f, above)) == _bits(closed(above))
+    both = eval_radial(f, np.concatenate([below, above]))
+    assert _bits(both[:3]) == _bits(series(below))
+    assert _bits(both[3:]) == _bits(closed(above))
+
+
+def test_setup_builds_each_part_once(monkeypatch):
+    from radialspec import core, rayleigh
+
+    counts, orders = {}, []
+
+    def counted(module, name, note=lambda *args: None):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            note(*args)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    f = _cold(domain_test_function(make_extension_spec(1, 1, 0.5)))
+    counted(rayleigh, "term_data")
+    counted(rayleigh, "r_switch")
+    counted(core, "check_regularity")
+    counted(rayleigh, "_series_coefficients", lambda l, a, chi, order: orders.append(order))
+    rs = rayleigh.r_switch(f)
+    counts.clear()
+    r = np.array([0.3 * rs, 0.9 * rs, 1.1 * rs, 5.0])
+    for _ in range(3):
+        eval_radial(f, r)
+        eval_radial(f, 0.5 * rs)
+        eval_radial(f, 4.0)
+        for d in range(1, 7):
+            derivative(f, r, d)
+            derivative(f, 0.5 * rs, d)
+        jet_at_origin(f)
+        origin_series(f)
+    once = {"term_data": 1, "r_switch": 1, "check_regularity": 1}
+    assert counts == {**once, "_series_coefficients": 8}
+    # SERIES_ORDER + d for each derivative order d (order 0 is SERIES_ORDER
+    # itself, which origin_series(f) shares), and the jet's order 5
+    assert sorted(orders) == [5] + [SERIES_ORDER + d for d in range(7)]
+    # a fresh object with the same fields builds its own
+    eval_radial(_cold(f), 4.0)
+    assert counts["term_data"] == 2
+
+
+def test_cached_arrays_cannot_change_a_later_evaluation():
+    from radialspec.rayleigh import _setup
+
+    f = _cold(domain_test_function(make_extension_spec(2, 2, -1.2)).rescaled(1.0 - 0.5j))
+    rs = r_switch(f)
+    r = np.array([0.3 * rs, 0.8 * rs, 2.0 * rs, 3.0])
+    before = [_bits(derivative(f, r, d)) for d in range(7)]
+    series = origin_series(f).coefficients
+    with pytest.raises(ValueError):
+        series[0] = 1.0
+    setup = _setup(f)
+    cached = [series, origin_series(f, 5).coefficients]
+    for d in range(7):
+        n = min(MAX_SERIES_ORDER, SERIES_ORDER + d)
+        cached += [*setup.closed_form(f, d), setup.series(f, n, d)]
+    for a in cached:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    assert [_bits(derivative(f, r, d)) for d in range(7)] == before
+
+
+def test_threads_sharing_a_cold_setup_read_the_same_bits():
+    import sys
+    import threading
+
+    base = domain_test_function(make_extension_spec(2, 2, 0.7)).rescaled(0.5 - 1j)
+    rs = r_switch(base)
+    r = np.array([0.2 * rs, 0.9 * rs, 1.4 * rs, 4.0])
+    calls = [(x, d) for d in range(7) for x in (r, 0.5 * rs, 3.0)]
+    want = [_bits(derivative(_cold(base), x, d)) for x, d in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            f, got = _cold(base), {}
+
+            def work(i, f=f, got=got):
+                got[i] = [_bits(derivative(f, x, d)) for x, d in calls[i:] + calls[:i]]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            for i in range(4):
+                assert got[i] == want[i:] + want[:i]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_setup_leaves_equality_and_repr_alone():
+    import dataclasses
+
+    f = RadialFunction(ExponentialSum([2.0], [-1.5 + 0.5j]), 2, 0.5j)
+    cold = _cold(f)
+    eval_radial(f, [0.5, 2.0])
+    derivative(f, 1.0, 3)
+    assert f.__dict__.keys() > cold.__dict__.keys()
+    assert f == cold and repr(f) == repr(cold)
+    assert [x.name for x in dataclasses.fields(f)] == ["base", "l", "scale"]
+    assert dataclasses.astuple(f) == dataclasses.astuple(cold)
