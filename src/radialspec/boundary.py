@@ -36,11 +36,16 @@ from .rayleigh import monomial_coefficient
 JET_RATIO_FACTOR = {(1, 1): 9.0 / 8.0, (1, 2): 8.0 / 5.0, (2, 1): 9.0 / 8.0, (2, 2): -8.0 / 7.0}
 
 
+def _pairing(u, vbar, k: int, j: int):
+    """u_k vbar_j - u_j vbar_k, with vbar the conjugate of v's jet entries."""
+    return u[k] * vbar[j] - u[j] * vbar[k]
+
+
 def omega(ju: Jet6, jv: Jet6, k: int, j: int) -> complex:
     """Antisymmetric jet pairing u^(k)(0) conj(v^(j)(0)) - u^(j)(0) conj(v^(k)(0))."""
     if not (0 <= k <= 5 and 0 <= j <= 5):
         raise InvalidInput("jet orders must lie in 0..5")
-    return complex(ju[k] * np.conj(jv[j]) - ju[j] * np.conj(jv[k]))
+    return complex(_pairing(ju.d, np.conj(jv.d), k, j))
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,11 @@ class BoundaryFormExpansion:
 
 
 def boundary_form(l: int, ju: Jet6, jv: Jet6) -> BoundaryFormExpansion:
-    """Laurent expansion of the symmetricity boundary form for the given jets."""
-    w = lambda k, j: omega(ju, jv, k, j)
+    """Laurent expansion of the symmetricity boundary form for the given jets.
+    The pairings run on the jets as Python complex lists, converted once."""
+    u = ju.d.tolist()
+    vbar = [z.conjugate() for z in jv.d.tolist()]
+    w = lambda k, j: _pairing(u, vbar, k, j)
     if l == 1:
         return BoundaryFormExpansion(
             -36.0 * w(0, 1),

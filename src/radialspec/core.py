@@ -6,7 +6,9 @@ top.  These types are immutable: their fields never change, and equality,
 hash and repr read the fields alone.  A RadialFunction also keeps a private
 evaluation set-up (its regularity flag, and what ``rayleigh`` builds on first
 use); each part is written once, deterministically, from the fields, so an
-instance stays safe to share between threads.
+instance stays safe to share between threads.  A copy or a pickle is rebuilt
+by the constructor from the fields: its arrays are read-only too, and it
+builds its own set-up on first use.
 """
 
 from __future__ import annotations
@@ -150,6 +152,20 @@ class ExponentialSum:
         self.amplitudes.setflags(write=False)
         self.rates.setflags(write=False)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.amplitudes, other.amplitudes) and np.array_equal(
+            self.rates, other.rates
+        )
+
+    def __hash__(self):
+        # over Python complex values, so that -0.0 hashes as 0.0, which it equals
+        return hash((tuple(self.amplitudes.tolist()), tuple(self.rates.tolist())))
+
+    def __reduce__(self):
+        return ExponentialSum, (self.amplitudes, self.rates)
+
     @property
     def amplitude_sum(self) -> complex:
         return complex(np.sum(self.amplitudes))
@@ -189,6 +205,9 @@ class RadialFunction:
     def regular_at_origin(self) -> bool:
         return self.base.is_regular()
 
+    def __reduce__(self):
+        return RadialFunction, (self.base, self.l, self.scale)
+
     def rescaled(self, factor: complex) -> "RadialFunction":
         return RadialFunction(self.base, self.l, self.scale * factor)
 
@@ -223,7 +242,7 @@ class Jet6:
         arr = np.asarray(d, np.complex128)
         if arr.shape != (6,):
             raise InvalidInput("a jet has exactly six entries (orders 0..5)")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidInput("jet entries must be finite")
         object.__setattr__(self, "d", arr)
         self.d.setflags(write=False)
@@ -233,4 +252,4 @@ class Jet6:
 
     @property
     def magnitude(self) -> float:
-        return float(np.max(np.abs(self.d)))
+        return float(np.abs(self.d).max())

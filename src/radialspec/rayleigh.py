@@ -110,14 +110,35 @@ def origin_series(f: RadialFunction, order: int = SERIES_ORDER) -> OriginSeries:
 
 def _series_coefficients(l: int, a, chi, order: int):
     """Taylor coefficients, powers 0..order, of sum_k D_l a[..., k] e^{chi[..., k] r};
-    leading axes of a and chi give one row of coefficients each."""
-    return np.array(
-        [
-            monomial_coefficient(l, m) / factorial(m) * (a * chi**m).sum(axis=-1)
-            for m in range(l, order + l + 1)
-        ],
-        np.complex128,
-    ).T
+    leading axes of a and chi give one row of coefficients each.
+
+    Coefficient j is monomial_coefficient(l, m) / m! * sum_k a_k chi_k^m with
+    m = j + l.  The (..., M, K) table of the a_k chi_k^m is built in one pass,
+    summed over k once and scaled by the M constants; column m = 2 is chi**2,
+    as numpy's scalar-exponent square rounds differently from the array
+    power.  With leading axes the pass runs in chunks of rows whose complex
+    temporaries stay within _BLOCK_BYTES."""
+    powers = range(l, order + l + 1)
+    scale = np.array([monomial_coefficient(l, m) / factorial(m) for m in powers])
+    a, chi = np.asarray(a), np.asarray(chi)
+    shape = np.broadcast_shapes(a.shape, chi.shape)
+    if len(shape) == 1:
+        return _power_sums(a, chi, powers, scale).astype(np.complex128, copy=False)
+    out = np.empty(shape[:-1] + (len(powers),), np.complex128)
+    rows = max(1, _BLOCK_BYTES // (16 * out[0].size * shape[-1]))
+    chunk = lambda x, cut: x[cut] if x.ndim == len(shape) and x.shape[0] > 1 else x
+    for first in range(0, shape[0], rows):
+        cut = slice(first, first + rows)
+        out[cut] = _power_sums(chunk(a, cut), chunk(chi, cut), powers, scale)
+    return out
+
+
+def _power_sums(a, chi, powers, scale):
+    """scale[j] * sum_k a[..., k] chi[..., k]**powers[j] (see _series_coefficients)."""
+    table = chi[..., None, :] ** np.array(powers)[:, None]
+    if 2 in powers:
+        table[..., 2 - powers[0], :] = chi**2
+    return scale * (a[..., None, :] * table).sum(axis=-1)
 
 
 def jet_at_origin(f: RadialFunction) -> Jet6:

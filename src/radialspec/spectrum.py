@@ -560,8 +560,9 @@ def eigen_residual_continuous(e: ContinuousEigenfunction, npoints: int = 40) -> 
     """Max relative residual of T^3 u = lambda^6 u on a log-spaced grid."""
     r = np.geomspace(0.05 / e.lam, 10.0 / e.lam, npoints)
     lhs = eval_radial(t3_termwise(e.u), r)
-    rhs = e.lam**6 * eval_radial(e.u, r)
-    scale = e.lam**6 * np.abs(eval_radial(e.u, r)) + 1e-300
+    u = eval_radial(e.u, r)
+    rhs = e.lam**6 * u
+    scale = e.lam**6 * np.abs(u) + 1e-300
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 

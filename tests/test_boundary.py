@@ -124,3 +124,36 @@ def test_single_violation_detected(l, xi):
         bad = np.array(ju.d)
         bad[i] += 1.0
         assert boundary_form(l, Jet6(bad), jv).max_abs > 1e-6
+
+
+def _boundary_form_by_omega(l, ju, jv):
+    """boundary_form with every pairing taken by omega on the jets."""
+    from radialspec.boundary import BoundaryFormExpansion
+
+    w = lambda k, j: omega(ju, jv, k, j)
+    if l == 1:
+        return BoundaryFormExpansion(
+            -36.0 * w(0, 1),
+            -24.0 * w(0, 2),
+            -12.0 * w(0, 3),
+            -6.0 * w(0, 4),
+            -1.5 * w(0, 5) - 2.5 * w(1, 4) + 8.0 * w(2, 3),
+        )
+    return BoundaryFormExpansion(
+        -36.0 * w(0, 1),
+        0.0,
+        36.0 * w(1, 2),
+        24.0 * w(1, 3) - 6.0 * w(0, 4),
+        -3.5 * w(0, 5) + 3.5 * w(1, 4) + 16.0 * w(2, 3),
+    )
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_boundary_form_equals_the_omega_pairings_bit_for_bit(l):
+    rng = np.random.default_rng(l)
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, (2, 6))
+        ju, jv = (Jet6((rng.normal(size=6) + 1j * rng.normal(size=6)) * s) for s in scale)
+        got = boundary_form(l, ju, jv).as_array()
+        want = _boundary_form_by_omega(l, ju, jv).as_array()
+        assert got.tobytes() == want.tobytes()

@@ -137,3 +137,46 @@ def test_import_loads_no_package_beyond_numpy():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _multi_term_pair():
+    spec = make_extension_spec(2, 1, 0.7)
+    return radialspec.domain_test_function(spec), radialspec.domain_test_function(spec)
+
+
+def test_multi_term_sums_compare_and_hash_by_value():
+    f, g = _multi_term_pair()
+    assert f.base is not g.base and len(f.base) > 1
+    radialspec.eval_radial(f, [0.01, 3.0])
+    assert "_setup" in f.__dict__ and "_setup" not in g.__dict__
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert f.base == g.base and hash(f.base) == hash(g.base)
+    assert {f, g} == {f}
+    other = ExponentialSum(f.base.amplitudes * 2.0, f.base.rates)
+    assert f.base != other and RadialFunction(other, 2) != f
+    assert f.base != "base" and f != (f.base, f.l, f.scale)
+    # -0.0 equals 0.0, so it hashes the same
+    neg = ExponentialSum([1.0, complex(-0.0, -0.0)], [-1.0, complex(-2.0, -0.0)])
+    pos = ExponentialSum([1.0, 0.0], [-1.0, -2.0])
+    assert neg.amplitudes[1].real.hex() == "-0x0.0p+0"
+    assert neg == pos and hash(neg) == hash(pos)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "copy", "pickle"])
+def test_copy_and_pickle_rebuild_read_only_without_setup(how):
+    import copy
+    import pickle
+
+    f, _ = _multi_term_pair()
+    r = np.array([0.01, 0.5, 3.0])
+    want = radialspec.eval_radial(f, r)
+    assert "_setup" in f.__dict__
+    if how == "pickle":
+        g = pickle.loads(pickle.dumps(f))
+    else:
+        g = getattr(copy, how)(f)
+    assert g == f and hash(g) == hash(f)
+    assert not (g.base.rates.flags.writeable or g.base.amplitudes.flags.writeable)
+    assert "_setup" not in g.__dict__ and "regular_at_origin" not in g.__dict__
+    assert radialspec.eval_radial(g, r).tobytes() == want.tobytes()
+    assert "_setup" in g.__dict__ and g.__dict__["_setup"] is not f.__dict__["_setup"]

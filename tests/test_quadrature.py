@@ -133,3 +133,36 @@ def test_quad_semiaxis_rejects_nondecaying():
         quad_semiaxis(lambda r: np.exp(-np.asarray(r)), 1.0, tol=np.nan)
     # an infinite decay rate still integrates, over (0, 1) and (0, 2)
     assert quad_semiaxis(lambda r: np.exp(-50 * np.asarray(r)), np.inf) == pytest.approx(0.02)
+
+
+def test_quad_semiaxis_evaluates_each_node_once():
+    seen = []
+
+    def f(r):
+        seen.append(r)
+        return np.exp(-r)
+
+    tol = 1e-10
+    radius = np.log(10.0 / tol)
+    n = int(np.ceil(radius))
+    assert abs(quad_semiaxis(f, 1.0, tol) - 1.0) < 1e-10
+    # n and 2n panels on [0, R], then n and 2n more on [R, 2R]: the [0, 2R]
+    # pass at 2n and 4n panels reuses the sums over [0, R]
+    assert [r.size for r in seen] == [24 * n, 48 * n, 24 * n, 48 * n]
+    nodes = np.concatenate(seen)
+    assert nodes.size == 6 * n * 24 and np.unique(nodes[: 72 * n]).size == 72 * n
+    assert seen[0].max() < radius < seen[2].min() and seen[3].max() < 2.0 * radius
+
+
+def test_quad_semiaxis_raises_when_refinement_does_not_converge():
+    # an integrable singularity at r = 1: halving the panels gains only a
+    # factor sqrt(2) a time
+    with pytest.raises(QuadratureFailure, match="refinement"):
+        quad_semiaxis(lambda r: np.exp(-r) / np.sqrt(np.abs(r - 1.0)), 1.0)
+
+
+def test_quad_semiaxis_raises_when_truncation_doubling_moves_the_value():
+    # the decay rate claims e^{-r}, but f decays like e^{-r / 100}: the
+    # integrals over [0, R] and [0, 2R] converge and disagree
+    with pytest.raises(QuadratureFailure, match="truncation doubling"):
+        quad_semiaxis(lambda r: np.exp(-0.01 * r), 1.0)

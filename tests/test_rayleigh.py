@@ -599,3 +599,49 @@ def test_setup_leaves_equality_and_repr_alone():
     assert f == cold and repr(f) == repr(cold)
     assert [x.name for x in dataclasses.fields(f)] == ["base", "l", "scale"]
     assert dataclasses.astuple(f) == dataclasses.astuple(cold)
+
+
+def _series_coefficients_per_m(l, a, chi, order):
+    """One power m at a time: the loop that the stacked pass replaces, kept as
+    its reference."""
+    from math import factorial
+
+    return np.array(
+        [
+            monomial_coefficient(l, m) / factorial(m) * (a * chi**m).sum(axis=-1)
+            for m in range(l, order + l + 1)
+        ],
+        np.complex128,
+    ).T
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("lead", [(), (7,), (5000,), (3, 4)], ids=["1d", "rows", "chunked", "2d"])
+def test_series_coefficients_equal_the_per_m_loop_bit_for_bit(l, lead):
+    from radialspec.rayleigh import _series_coefficients
+
+    rng = np.random.default_rng(l + 10 * len(lead))
+    for order in range(MAX_SERIES_ORDER + 1):
+        for terms in range(1, 13):
+            complex_rates = (order + terms) % 2 == 0
+            chi = 3.0 * rng.normal(size=terms)
+            if complex_rates:
+                chi = chi + 3j * rng.normal(size=terms)
+            a = rng.normal(size=lead + (terms,)) + 1j * rng.normal(size=lead + (terms,))
+            if len(lead) == 1 and order % 3 == 0:
+                a = np.asfortranarray(a)
+            got = _series_coefficients(l, a, chi, order)
+            want = _series_coefficients_per_m(l, a, chi, order)
+            if len(lead) == 2:
+                # the loop's .T also swaps the two leading axes
+                want = want.transpose(1, 0, 2)
+            assert got.shape == lead + (order + 1,)
+            assert _bits(np.ascontiguousarray(got)) == _bits(np.ascontiguousarray(want))
+    if lead == (5000,):
+        # the (n, 4) call of the continuous basis: Fortran-order amplitudes on
+        # four unit rates, with rows enough for several chunks
+        unit = np.exp(1j * np.pi * np.array([0.5, -0.5, 1 / 6, -1 / 6]))
+        a = np.asfortranarray(rng.normal(size=(5000, 4)) + 1j * rng.normal(size=(5000, 4)))
+        got = _series_coefficients(l, a, unit, SERIES_ORDER)
+        want = _series_coefficients_per_m(l, a, unit, SERIES_ORDER)
+        assert _bits(np.ascontiguousarray(got)) == _bits(np.ascontiguousarray(want))
