@@ -10,7 +10,6 @@ from .core import (
     RadialFunction,
     check_regularity,
     make_extension_spec,
-    radial_function,
 )
 from .errors import (
     DomainError,

@@ -2,19 +2,30 @@
 
 Every closed-form object in the library is a finite sum of exponentials
 ``sum_k a_k exp(chi_k r)`` with the Rayleigh operator of order l applied on
-top.  These types are immutable: their fields never change, and equality,
-hash and repr read the fields alone.  A RadialFunction also keeps a private
-evaluation set-up (its regularity flag, and what ``rayleigh`` builds on first
-use); each part is written once, deterministically, from the fields, so an
-instance stays safe to share between threads.  A copy or a pickle is rebuilt
-by the constructor from the fields: its arrays are read-only too, and it
-builds its own set-up on first use.
+top.
+
+One rule makes a record of arrays an immutable value: ExponentialSum,
+RadialFunction and Jet6 here, rayleigh.OriginSeries, resolvent.CoefficientSet
+and transform.SampledFunction are frozen dataclasses under _by_value.
+- Each constructor hands its arrays to _frozen_copy: a writable input or a
+  view is copied, then frozen; a read-only array that owns its data is kept,
+  so origin_series hands out f's set-up array.
+- Equality and hash go by value: arrays by shape and entries, -0.0 as 0.0.
+- A copy or a pickle is rebuilt by the constructor from the fields, with
+  read-only arrays, and rebuilds on first use what a record derives from
+  them (RadialFunction's regularity flag and rayleigh set-up,
+  SampledFunction's spline), each part written once, deterministically, so
+  a record stays safe to share between threads.
+_frozen is the one place an array is made read-only, here and in the caches.
+Results the caller owns stay out: transform.SpectralCoefficients, whose
+arrays a caller may write into, resolvent.KernelValue, built per scalar
+kernel call where a copy would cost, and quadrature.PanelGrid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +47,39 @@ REGULARITY_TOL = 1e-12
 def _phase(x: float) -> complex:
     """e^{i pi x}, the unit phase every closed form is written in."""
     return complex(np.exp(1j * np.pi * x))
+
+
+def _frozen(*arrays):
+    """Mark the arrays read-only in place; returns the one array, or the tuple."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
+def _frozen_copy(a) -> np.ndarray:
+    """a itself when it is a read-only array that owns its data, else a read-only copy."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata:
+        return a
+    return _frozen(np.array(a))
+
+
+def _by_value(cls):
+    """Give the frozen dataclass cls equality, hash, copies and pickles by value."""
+    names = tuple(f.name for f in fields(cls))
+    values = lambda self: tuple(getattr(self, name) for name in names)
+    same = lambda a, b: np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    # arrays as Python numbers, whose hash takes -0.0 as 0.0
+    key = lambda v: (v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(same, values(self), values(other)))
+
+    cls.__eq__ = __eq__
+    cls.__hash__ = lambda self: hash(tuple(map(key, values(self))))
+    cls.__reduce__ = lambda self: (self.__class__, values(self))
+    return cls
 
 
 @dataclass(frozen=True)
@@ -132,6 +176,7 @@ def _merge_rates(amplitudes, rates):
     return np.array(out_a, np.complex128), np.array(out_r, np.complex128)
 
 
+@_by_value
 @dataclass(frozen=True)
 class ExponentialSum:
     """Finite sum  sum_k amplitudes[k] * exp(rates[k] * r)  with distinct rates."""
@@ -146,48 +191,24 @@ class ExponentialSum:
             raise InvalidInput("exponential sum must have at least one term")
         if a.shape != r.shape:
             raise InvalidInput("amplitudes and rates must have equal length")
-        a, r = _merge_rates(a, r)
+        a, r = _frozen(*_merge_rates(a, r))
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "rates", r)
-        self.amplitudes.setflags(write=False)
-        self.rates.setflags(write=False)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return np.array_equal(self.amplitudes, other.amplitudes) and np.array_equal(
-            self.rates, other.rates
-        )
-
-    def __hash__(self):
-        # over Python complex values, so that -0.0 hashes as 0.0, which it equals
-        return hash((tuple(self.amplitudes.tolist()), tuple(self.rates.tolist())))
-
-    def __reduce__(self):
-        return ExponentialSum, (self.amplitudes, self.rates)
-
-    @property
-    def amplitude_sum(self) -> complex:
-        return complex(np.sum(self.amplitudes))
-
-    def is_regular(self, tol: float = REGULARITY_TOL) -> bool:
-        return check_regularity(self, tol)
 
     def __len__(self):
         return self.amplitudes.size
 
 
-def check_regularity(s: ExponentialSum, tol: float = REGULARITY_TOL) -> bool:
-    """True iff the amplitudes cancel: |sum a_k| <= tol * sum |a_k|."""
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+def check_regularity(s: ExponentialSum) -> bool:
+    """True iff the amplitudes cancel: |sum a_k| <= REGULARITY_TOL sum |a_k|."""
     total = abs(np.sum(s.amplitudes))
     scale = float(np.sum(np.abs(s.amplitudes)))
     if scale == 0.0:
         return True
-    return total <= tol * scale
+    return total <= REGULARITY_TOL * scale
 
 
+@_by_value
 @dataclass(frozen=True)
 class RadialFunction:
     """The Rayleigh operator of order l applied to ``scale * base``."""
@@ -203,10 +224,7 @@ class RadialFunction:
 
     @cached_property
     def regular_at_origin(self) -> bool:
-        return self.base.is_regular()
-
-    def __reduce__(self):
-        return RadialFunction, (self.base, self.l, self.scale)
+        return check_regularity(self.base)
 
     def rescaled(self, factor: complex) -> "RadialFunction":
         return RadialFunction(self.base, self.l, self.scale * factor)
@@ -228,24 +246,20 @@ class RadialFunction:
     __rmul__ = __mul__
 
 
-def radial_function(amplitudes, rates, l, scale=1.0) -> RadialFunction:
-    return RadialFunction(ExponentialSum(amplitudes, rates), l, scale)
-
-
+@_by_value
 @dataclass(frozen=True)
 class Jet6:
     """Derivatives of order 0..5 at the origin."""
 
-    d: np.ndarray = field(default_factory=lambda: np.zeros(6, np.complex128))
+    d: np.ndarray
 
     def __init__(self, d):
-        arr = np.asarray(d, np.complex128)
+        arr = _frozen_copy(np.asarray(d, np.complex128))
         if arr.shape != (6,):
             raise InvalidInput("a jet has exactly six entries (orders 0..5)")
         if not np.isfinite(arr).all():
             raise InvalidInput("jet entries must be finite")
         object.__setattr__(self, "d", arr)
-        self.d.setflags(write=False)
 
     def __getitem__(self, j):
         return self.d[j]

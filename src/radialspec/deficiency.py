@@ -52,9 +52,9 @@ def deficiency_solution(l: int, xi: int, sign: int, rho: float = 1.0) -> Deficie
     return DeficiencySolution(f, sign, float(rho), xi, l)
 
 
-def kernel_residual(q: DeficiencySolution, npoints: int = 40) -> float:
+def kernel_residual(q: DeficiencySolution) -> float:
     """Max relative residual of (T_l^3 - sign*i*rho^6) q on a log-spaced grid."""
-    r = np.geomspace(0.05 / q.rho, 10.0 / q.rho, npoints)
+    r = np.geomspace(0.05 / q.rho, 10.0 / q.rho, 40)
     lhs = eval_radial(t3_termwise(q.f), r)
     rhs = q.sign * 1j * q.rho**6 * eval_radial(q.f, r)
     scale = q.rho**6 * np.abs(eval_radial(q.f, r)) + _EPS

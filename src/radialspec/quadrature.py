@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import _frozen
 from .errors import InvalidInput, QuadratureFailure
 
 GAUSS_ORDER = 24
@@ -39,16 +40,13 @@ def panel_width(omega_max: float) -> float:
 @lru_cache(maxsize=None)
 def _gauss_legendre(order: int):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _frozen(*np.polynomial.legendre.leggauss(order))
 
 
 class PanelGrid(NamedTuple):
     """Composite Gauss-Legendre over consecutive segments, one row per panel:
-    nodes and weights (panels, order), each panel's midpoint (panels,), and
-    each segment's half panel width (segments,)."""
+    nodes and weights (panels, GAUSS_ORDER), each panel's midpoint
+    (panels,), and each segment's half panel width (segments,)."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -56,7 +54,7 @@ class PanelGrid(NamedTuple):
     half: np.ndarray
 
 
-def panel_grid(a, b, npanels, order: int = GAUSS_ORDER) -> PanelGrid:
+def panel_grid(a, b, npanels) -> PanelGrid:
     """Composite Gauss-Legendre on every segment [a_s, b_s], split into
     npanels_s equal panels, in one pass.  The panel edges of a segment are
     those of np.linspace(a_s, b_s, npanels_s + 1), so each segment's nodes and
@@ -65,7 +63,7 @@ def panel_grid(a, b, npanels, order: int = GAUSS_ORDER) -> PanelGrid:
     n = np.asarray(npanels)
     if not (np.all(b > a) and np.all(n >= 1)):
         raise InvalidInput("a panel rule needs b > a and npanels >= 1")
-    x, w = _gauss_legendre(order)
+    x, w = _gauss_legendre(GAUSS_ORDER)
     step = (b - a) / n
     seg = np.repeat(np.arange(n.size), n)
     i = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
@@ -79,9 +77,9 @@ def panel_grid(a, b, npanels, order: int = GAUSS_ORDER) -> PanelGrid:
     return PanelGrid(nodes, weights, mid, half)
 
 
-def panel_rule(a: float, b: float, npanels: int, order: int = GAUSS_ORDER):
+def panel_rule(a: float, b: float, npanels: int):
     """Nodes and weights of composite Gauss-Legendre on [a, b]."""
-    grid = panel_grid([a], [b], [npanels], order)
+    grid = panel_grid([a], [b], [npanels])
     return grid.nodes.ravel(), grid.weights.ravel()
 
 
@@ -91,26 +89,25 @@ def panel_rule(a: float, b: float, npanels: int, order: int = GAUSS_ORDER):
 # that the cache never holds more than 16 MB
 _CACHED_NODES = 1 << 14
 _RULE_CACHE = 64
+# quad_semiaxis halves the panels at most this many times per pass
+_MAX_REFINE = 7
 
 
 @lru_cache(maxsize=_RULE_CACHE)
-def _cached_rule(a: float, b: float, npanels: int, order: int):
-    """Read-only panel_rule(a, b, npanels, order)."""
-    nodes, weights = panel_rule(a, b, npanels, order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+def _cached_rule(a: float, b: float, npanels: int):
+    """Read-only panel_rule(a, b, npanels)."""
+    return _frozen(*panel_rule(a, b, npanels))
 
 
-def quad_interval(f, a: float, b: float, npanels: int = 4, order: int = GAUSS_ORDER):
+def quad_interval(f, a: float, b: float, npanels: int):
     """Composite Gauss-Legendre sum of f over [a, b].  f receives the nodes
     read-only when the rule is small enough to be cached."""
-    rule = _cached_rule if npanels * order <= _CACHED_NODES else panel_rule
-    nodes, weights = rule(float(a), float(b), npanels, order)
+    rule = _cached_rule if npanels * GAUSS_ORDER <= _CACHED_NODES else panel_rule
+    nodes, weights = rule(float(a), float(b), npanels)
     return np.sum(weights * np.asarray(f(nodes)))
 
 
-def quad_semiaxis(f, decay_rate: float, tol: float = 1e-10, max_refine: int = 7):
+def quad_semiaxis(f, decay_rate: float, tol: float = 1e-10):
     """Integral of f over (0, inf) for exponentially damped f.
 
     The truncation radius R satisfies exp(-decay_rate R) < tol/10.  On
@@ -140,7 +137,7 @@ def quad_semiaxis(f, decay_rate: float, tol: float = 1e-10, max_refine: int = 7)
 
     def refined(value):
         prev = value(0)
-        for k in range(1, max_refine + 1):
+        for k in range(1, _MAX_REFINE + 1):
             cur = value(k)
             if abs(cur - prev) <= tol * (1.0 + abs(cur)):
                 return cur

@@ -37,7 +37,7 @@ from math import factorial
 
 import numpy as np
 
-from .core import ExponentialSum, Jet6, RadialFunction, VALID_L
+from .core import ExponentialSum, Jet6, RadialFunction, VALID_L, _by_value, _frozen, _frozen_copy
 from .errors import DomainError, InvalidSpec, SingularityError, Unsupported
 
 SERIES_ORDER = 16
@@ -86,12 +86,16 @@ def dl_exponential(l: int, chi: complex, r) -> complex:
     return _shaped_like(r, _eval_terms(r.ravel(), np.array([chi]), polys))
 
 
+@_by_value
 @dataclass(frozen=True)
 class OriginSeries:
     """Taylor coefficients of a D_l image around r = 0, powers 0..truncation_order."""
 
     coefficients: np.ndarray
     truncation_order: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", _frozen_copy(self.coefficients))
 
     def eval(self, r):
         r = np.asarray(r, np.float64)
@@ -163,11 +167,6 @@ def term_data(f: RadialFunction):
     return rates.real.copy(), polys.real.copy()
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 class _Setup:
     """One RadialFunction's evaluation set-up, kept on it by _setup as
     SampledFunction keeps its spline.  Each part is built on first use and is
@@ -187,7 +186,7 @@ class _Setup:
                 polys = _differentiate_polys(rates, polys)
             else:
                 rates, polys = term_data(f)
-            data = self._far[order] = _frozen(rates), _frozen(polys)
+            data = self._far[order] = _frozen(rates, polys)
         return data
 
     def series(self, f: RadialFunction, n: int, order: int = 0) -> np.ndarray:

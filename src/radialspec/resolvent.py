@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import condition_rows
-from .core import KAPPA_POWER, ExponentialSum, ExtensionSpec, RadialFunction, _phase
+from .core import KAPPA_POWER, ExponentialSum, ExtensionSpec, RadialFunction
+from .core import _by_value, _frozen, _frozen_copy, _phase
 from .errors import (
     DomainError,
     InternalInconsistency,
@@ -188,6 +189,7 @@ def wronskian_numeric(l: int, z: complex, k: int, r: float) -> complex:
     )
 
 
+@_by_value
 @dataclass(frozen=True)
 class CoefficientSet:
     """alpha_k, beta_k, gamma_k (k = 0..2) over the common denominator p."""
@@ -196,6 +198,11 @@ class CoefficientSet:
     beta: np.ndarray
     gamma: np.ndarray
     p: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _frozen_copy(self.alpha))
+        object.__setattr__(self, "beta", _frozen_copy(self.beta))
+        object.__setattr__(self, "gamma", _frozen_copy(self.gamma))
 
 
 def _denominator(spec: ExtensionSpec, z: complex):
@@ -227,8 +234,7 @@ def _checked_denominator(spec: ExtensionSpec, z: complex):
 def coefficients_closed_form(
     spec: ExtensionSpec, z: complex, allow_boundary: bool = False
 ) -> CoefficientSet:
-    """The (corrected) coefficient tables evaluated at z, with read-only
-    alpha, beta and gamma.
+    """The (corrected) coefficient tables evaluated at z.
 
     Raises SectorError outside the sector and PoleError at the resolvent pole.
     Not cached: kernel and apply_resolvent read the tables from _kernel_setup.
@@ -242,16 +248,12 @@ def coefficients_closed_form(
     for k in range(3):
         for name, (az, ak) in zip(("alpha", "beta", "gamma"), CLOSED_TABLE[(spec.xi, spec.l)][k]):
             out[name][k] = (az * zp + ak * kp) / p
-    for values in out.values():
-        values.setflags(write=False)
     return CoefficientSet(out["alpha"], out["beta"], out["gamma"], p)
 
 
-def coefficients_oracle(
-    spec: ExtensionSpec, z: complex, allow_boundary: bool = False
-) -> CoefficientSet:
+def coefficients_oracle(spec: ExtensionSpec, z: complex) -> CoefficientSet:
     """Independent 3x3 linear solve of the boundary conditions for each h_k."""
-    validate_sector(z, allow_boundary)
+    validate_sector(z)
     p = _checked_denominator(spec, z)
     alpha, beta, gamma = np.empty(3, complex), np.empty(3, complex), np.empty(3, complex)
     for k in range(3):
@@ -322,15 +324,12 @@ def _kernel_setup(spec: ExtensionSpec, z, allow_boundary: bool):
     ck = np.array(
         [_phase(2 * k / 3) / (3.0 * z**4 * wronskian(spec.l, z, k)) for k in range(3)]
     )
-    setup = (
+    return _frozen(
         np.concatenate((chi, chi))[:, None],
         np.asfortranarray(p[[0, 1, 2, 3, 4, 5, 0, 1, 2], None]),
         np.stack((c.alpha, c.beta, c.gamma))[:, :, None],
         ck[:, None],
     )
-    for values in setup:
-        values.setflags(write=False)
-    return setup
 
 
 # rows of (1/r_<, 1/r_>, r_<, r_> - r_<) behind polys' 9 rows and the 6

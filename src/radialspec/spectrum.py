@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ExponentialSum, ExtensionSpec, RadialFunction, _phase
+from .core import ExponentialSum, ExtensionSpec, RadialFunction, _frozen, _phase
 from .errors import DomainError, InternalInconsistency
 from .quadrature import GAUSS_ORDER
 from .rayleigh import (
@@ -115,9 +115,9 @@ def bound_state(spec: ExtensionSpec):
     return BoundState(z_p, float(energy), v)
 
 
-def eigen_residual_discrete(b: BoundState, npoints: int = 40) -> float:
+def eigen_residual_discrete(b: BoundState) -> float:
     """Max relative residual of T^3 v = energy * v on a log-spaced grid."""
-    r = np.geomspace(0.05 / abs(b.z_p), 8.0 / abs(b.z_p), npoints)
+    r = np.geomspace(0.05 / abs(b.z_p), 8.0 / abs(b.z_p), 40)
     v = eval_radial(b.v, r)
     lhs = eval_radial(t3_termwise(b.v), r)
     return float(np.max(np.abs(lhs - b.energy * v) / (abs(b.energy) * np.abs(v) + 1e-300)))
@@ -216,18 +216,18 @@ def _tilt(spec: ExtensionSpec) -> float:
     return float(np.sign(_rho1(spec).imag))
 
 
-def _split_rows(r, radii, polys, coefs, pairs):
+def _split_rows(r, lam, tilt, radii, polys, coefs):
     """Rows of real values at sorted r >= 0 with eval_radial's split: row b
     is the closed form 2 Re sum_k (sum_j polys[b, k, j] r^-j) e_k[b] above
-    radii[b], with (e_0, e_1) = pairs(lo) the exponentials e^{rho_k lam[b] r}
-    of _pair_exponentials on r[lo:], and the origin series with real
-    coefs[b] at or below it."""
+    radii[b], with (e_0, e_1) the exponentials e^{rho_k lam[b] r} of
+    _pair_exponentials, and the origin series with real coefs[b] at or
+    below it."""
     split = np.searchsorted(r, radii, side="right")
     lo, hi = int(split.min()), int(split.max())
     out = np.empty((radii.size, r.size))
     if lo < r.size:
         inv = 1.0 / r[lo:]
-        e0, e1 = pairs(lo)
+        e0, e1 = _pair_exponentials(np.multiply.outer(lam, r[lo:]), tilt)
         for k, e in enumerate((e0, e1)):
             e *= _horner_inv(polys[:, k, None, :], inv)
         e0 += e1
@@ -238,12 +238,6 @@ def _split_rows(r, radii, polys, coefs, pairs):
         band = np.arange(lo, hi) < split[:, None]
         out[:, lo:hi] = np.where(band, near[:, lo:], out[:, lo:hi])
     return out
-
-
-def _direct_pairs(lam, r, tilt):
-    """pairs for _split_rows: the pair exponentials at lam x r[lo:], one
-    complex exponential per (lambda, r) pair."""
-    return lambda lo: _pair_exponentials(np.multiply.outer(lam, r[lo:]), tilt)
 
 
 def _checked_lambda(lam) -> np.ndarray:
@@ -293,8 +287,7 @@ def _row_setup(spec: ExtensionSpec, lam_bytes: bytes):
     held = (radii, polys, coefs)
     if shared is not None:
         held += (shared.rows, shared.first, shared.offsets)
-    for values in held:
-        values.setflags(write=False)
+    _frozen(*held)
     return (radii, lam, tilt, polys, coefs), shared
 
 
@@ -309,12 +302,11 @@ def _tiles(setup, idx, r):
     for start in range(0, idx.size, height):
         rows = slice(start, start + height)
         at = idx[rows]
-        terms = (radii[at], polys[at], coefs[at])
+        terms = (lam[at], tilt, radii[at], polys[at], coefs[at])
         width = _TILE_PAIRS // at.size
         for first in range(0, r.size, width):
             cols = slice(first, min(first + width, r.size))
-            pairs = _direct_pairs(lam[at], r[cols], tilt)
-            yield rows, cols, _split_rows(r[cols], *terms, pairs)
+            yield rows, cols, _split_rows(r[cols], *terms)
 
 
 def _basis_blocks(spec: ExtensionSpec, lam, r):
@@ -550,15 +542,15 @@ def _basis_rmatvec(spec: ExtensionSpec, lam, r, y) -> np.ndarray:
     return f
 
 
-def realness_residual(e: ContinuousEigenfunction, npoints: int = 60) -> float:
-    r = np.linspace(0.05, 12.0, npoints) / max(e.lam, 1.0)
+def realness_residual(e: ContinuousEigenfunction) -> float:
+    r = np.linspace(0.05, 12.0, 60) / max(e.lam, 1.0)
     vals = eval_radial(e.u, r)
     return float(np.max(np.abs(vals.imag)) / max(np.max(np.abs(vals)), 1e-300))
 
 
-def eigen_residual_continuous(e: ContinuousEigenfunction, npoints: int = 40) -> float:
+def eigen_residual_continuous(e: ContinuousEigenfunction) -> float:
     """Max relative residual of T^3 u = lambda^6 u on a log-spaced grid."""
-    r = np.geomspace(0.05 / e.lam, 10.0 / e.lam, npoints)
+    r = np.geomspace(0.05 / e.lam, 10.0 / e.lam, 40)
     lhs = eval_radial(t3_termwise(e.u), r)
     u = eval_radial(e.u, r)
     rhs = e.lam**6 * u

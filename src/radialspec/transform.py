@@ -47,7 +47,7 @@ keeps its imaginary part where phi is complex, and is real where phi is.
 
 forward returns the Parseval defect of f from its one projection, and
 remembers it for the last RadialFunction it projected, keyed by the cutoffs
-(r_max and lam_max) and f's content; parseval_check on that f and those
+(r_max and lam_max) and f by value; parseval_check on that f and those
 cutoffs returns it without projecting f again, so a round trip projects once.
 """
 
@@ -59,7 +59,7 @@ from math import factorial
 
 import numpy as np
 
-from .core import ExponentialSum, ExtensionSpec, RadialFunction
+from .core import ExponentialSum, ExtensionSpec, RadialFunction, _by_value, _frozen_copy
 from .boundary import condition_rows
 from .errors import (
     FunctionDomainError,
@@ -75,6 +75,7 @@ DEFAULT_LAMBDA_MAX = 8.0
 DEFAULT_LAMBDA_MIN = 1e-3
 
 
+@_by_value
 @dataclass(frozen=True)
 class SampledFunction:
     """A function known on a strictly increasing positive grid."""
@@ -89,8 +90,8 @@ class SampledFunction:
             raise InvalidInput("values must match the grid")
         if not np.all(np.isfinite(v)):
             raise InvalidInput("values must be finite")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "grid", _frozen_copy(g))
+        object.__setattr__(self, "values", _frozen_copy(v))
 
     def __call__(self, r):
         spline = self.__dict__.get("_spline")
@@ -252,13 +253,11 @@ _last_defect = [(None, None)]
 
 
 def _defect_key(spec: ExtensionSpec, f, r_max: float, lam_max: float):
-    """The key of a projection of f in _last_defect: the cutoffs and f's
-    content.  None unless f is a RadialFunction, whose read-only arrays fix
-    what a key describes; samples and callables always project."""
+    """The key of f's projection in _last_defect: the cutoffs and f, which
+    compares by value.  None for samples and callables, which always project."""
     if not isinstance(f, RadialFunction):
         return None
-    base = f.base
-    return (spec, r_max, lam_max, f.l, f.scale, base.amplitudes.tobytes(), base.rates.tobytes())
+    return (spec, r_max, lam_max, f)
 
 
 def forward(
@@ -391,12 +390,11 @@ def parseval_check(
 
 
 @lru_cache(maxsize=None)
-def _fd_weights(order: int, npoints: int = 13):
-    """Centered finite-difference weights on integer offsets for one derivative."""
-    half = npoints // 2
-    offsets = np.arange(-half, half + 1, dtype=np.float64)
-    vander = np.vander(offsets, npoints, increasing=True).T
-    rhs = np.zeros(npoints)
+def _fd_weights(order: int):
+    """Centered weights for one derivative on fd_apply's 13 offsets -6..6."""
+    offsets = np.arange(-6.0, 7.0)
+    vander = np.vander(offsets, 13, increasing=True).T
+    rhs = np.zeros(13)
     rhs[order] = factorial(order)
     return np.linalg.solve(vander, rhs)
 

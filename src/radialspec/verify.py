@@ -194,8 +194,8 @@ def suite_wronskian(seed: int = 0):
     return out
 
 
-def _kernel_window(spec, z, s, r0, h=0.15):
-    grid = r0 + h * np.arange(-6.0, 7.0)
+def _kernel_window(spec, z, s, r0):
+    grid = r0 + 0.15 * np.arange(-6.0, 7.0)
     return grid, kernel(spec, z, grid, s).total
 
 
@@ -221,14 +221,14 @@ def suite_kernel(seed: int = 0):
         fd_res = float(np.hypot(*res)) / scale
         out.append(_res("kernel", f"off-diagonal operator residual l={l} xi={xi}", fd_res, 1e-6))
 
-        # fifth-derivative jump across the diagonal, computed analytically
+        # fifth-derivative jump across the diagonal, with the c_k kernel uses
         sj = 1.3
         jump = 0.0
+        ck = _resolvent._kernel_setup(spec, z, False)[3]
         for k in range(3):
-            ck = np.exp(2j * np.pi * k / 3) / (3.0 * z**4 * wronskian(l, z, k))
             hk = h_solution(spec, z, k)
             gk = _resolvent.basis_g(l, z, k)
-            jump += ck * (
+            jump += ck[k, 0] * (
                 eval_radial(hk, sj) * derivative(gk, sj, 5)
                 - derivative(hk, sj, 5) * eval_radial(gk, sj)
             )
@@ -262,9 +262,10 @@ def suite_bound_state(seed: int = 0):
         out.append(
             _res("bound_state", f"eigen residual l={l} xi={xi}", eigen_residual_discrete(b), 1e-10)
         )
-        ok, res = check_membership(spec, jet_at_origin(b.v))
+        jet = jet_at_origin(b.v)
+        ok, res = check_membership(spec, jet)
         out.append(
-            _res("bound_state", f"jet membership l={l} xi={xi}", float(np.max(np.abs(res))) / (1.0 + jet_at_origin(b.v).magnitude), 1e-10)
+            _res("bound_state", f"jet membership l={l} xi={xi}", float(np.max(np.abs(res))) / (1.0 + jet.magnitude), 1e-10)
         )
     return out
 

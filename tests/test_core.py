@@ -95,7 +95,7 @@ def test_regularity_deficiency_amplitudes():
 def test_exponential_sum_merges_duplicates():
     s = ExponentialSum([1.0, 2.0, 3.0], [0.5, 0.5, 1.0])
     assert len(s) == 2
-    assert np.isclose(s.amplitude_sum, 6.0)
+    assert np.isclose(np.sum(s.amplitudes), 6.0)
 
 
 def test_exponential_sum_rejects_empty_and_mismatch():
@@ -180,3 +180,117 @@ def test_copy_and_pickle_rebuild_read_only_without_setup(how):
     assert "_setup" not in g.__dict__ and "regular_at_origin" not in g.__dict__
     assert radialspec.eval_radial(g, r).tobytes() == want.tobytes()
     assert "_setup" in g.__dict__ and g.__dict__["_setup"] is not f.__dict__["_setup"]
+
+
+def _records(zero):
+    """One of each record under core's value rule, with zero (0.0 or -0.0)
+    among its entries, each holding arrays of its own, and each with its
+    derived state built where it has any."""
+    base = ExponentialSum([1.0, complex(zero, zero)], [-1.0, complex(-2.0, zero)])
+    f = RadialFunction(base, 2, complex(1.5, zero))
+    radialspec.eval_radial(f, [0.01, 3.0])
+    s = radialspec.SampledFunction(np.linspace(0.5, 2.0, 7), np.array([1, zero, 2, 3, 4, 5, 6]))
+    s(1.2)
+    return [
+        base,
+        f,
+        Jet6([1.0, zero, 2.0, 3.0, 4.0, 5.0]),
+        radialspec.OriginSeries(np.array([1.0, zero, 2j]), 2),
+        radialspec.CoefficientSet(
+            np.array([1.0, zero, 2.0]), np.ones(3), np.array([zero, 1j, 2.0]), 2.0 + 1j
+        ),
+        s,
+    ]
+
+
+def _array_fields(record):
+    from dataclasses import fields
+
+    values = [getattr(record, f.name) for f in fields(record)]
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+def test_records_compare_and_hash_by_value():
+    for neg, pos, again in zip(_records(-0.0), _records(0.0), _records(0.0)):
+        assert pos == again and hash(pos) == hash(again) and {pos, again} == {pos}
+        assert neg == pos and hash(neg) == hash(pos), type(pos).__name__
+        assert pos != "record" and pos != _array_fields(pos)
+    pos = _records(0.0)
+    changed = [
+        ExponentialSum([1.0, 0.5], [-1.0, -2.0]),
+        pos[1].rescaled(2.0),
+        Jet6(np.arange(6.0)),
+        radialspec.OriginSeries(np.array([1.0, 0.0]), 1),
+        radialspec.CoefficientSet(np.zeros(3), np.ones(3), np.zeros(3), 2.0 + 1j),
+        radialspec.SampledFunction(pos[5].grid, pos[5].values + 1.0),
+    ]
+    for a, b in zip(pos, changed):
+        assert a != b and type(a) is type(b)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "copy", "pickle"])
+def test_record_copies_are_rebuilt_read_only_without_derived_state(how):
+    import copy
+    import pickle
+    from dataclasses import fields
+
+    for record in _records(0.0):
+        g = pickle.loads(pickle.dumps(record)) if how == "pickle" else getattr(copy, how)(record)
+        name = type(record).__name__
+        assert g == record and hash(g) == hash(record), name
+        # only the fields: no _setup, regular_at_origin or _spline
+        assert set(vars(g)) == {f.name for f in fields(g)}, name
+        for a in _array_fields(g):
+            assert not a.flags.writeable, name
+    s = _records(0.0)[5]
+    g = pickle.loads(pickle.dumps(s))
+    assert np.array_equal(g([0.7, 1.9, 3.0]), s([0.7, 1.9, 3.0]))
+
+
+def test_record_constructors_neither_freeze_nor_alias_their_input():
+    from radialspec import CoefficientSet, OriginSeries
+
+    d = np.arange(6.0) + 0j
+    j = Jet6(d)
+    assert d.flags.writeable and not np.shares_memory(d, j.d)
+    d[0] = 9.0
+    assert j[0] == 0.0
+    c = np.array([1.0, 2.0, 3.0j])
+    series, tables = OriginSeries(c, 2), CoefficientSet(c, c, c, 1.0)
+    assert c.flags.writeable
+    assert not any(np.shares_memory(c, a) for a in (series.coefficients, tables.alpha))
+    # a read-only array that owns its data is kept, so copies share it
+    assert OriginSeries(series.coefficients, 2).coefficients is series.coefficients
+    # a read-only view is not: the array it views may still change
+    view = np.arange(8.0)[::2]
+    view.setflags(write=False)
+    assert OriginSeries(view, 3).coefficients.base is None
+
+
+@pytest.mark.parametrize("spline_first", [False, True])
+def test_sampled_function_keeps_its_own_samples(spline_first):
+    g, v = np.linspace(0.5, 2.0, 7), np.ones(7)
+    s = radialspec.SampledFunction(g, v)
+    want = s(1.0) if spline_first else 1.0
+    assert g.flags.writeable and v.flags.writeable
+    assert not (np.shares_memory(g, s.grid) or np.shares_memory(v, s.values))
+    v[:] = 0.0
+    g[:] = np.linspace(1.0, 4.0, 7)
+    assert np.array_equal(s.values, np.ones(7)) and s.grid[0] == 0.5
+    assert s(1.0) == pytest.approx(want, abs=1e-15)
+    assert not (s.grid.flags.writeable or s.values.flags.writeable)
+
+
+def test_value_rule_lives_in_core_alone():
+    import re
+
+    package = Path(radialspec.__file__).resolve().parent
+    pattern = re.compile(r"setflags\(|def (__eq__|__hash__|__reduce__)\b")
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "core.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert found == []

@@ -561,10 +561,12 @@ def test_coefficient_injection_reaches_a_warm_cache():
 
 
 def test_cached_coefficients_are_read_only():
-    c = coefficients_closed_form(make_extension_spec(1, 2, 0.4), np.exp(0.3j))
-    for values in (c.alpha, c.beta, c.gamma):
-        with pytest.raises(ValueError):
-            values[0] = 0.0
+    # the oracle's tables are read-only too, as every CoefficientSet's are
+    for tables in (coefficients_closed_form, coefficients_oracle):
+        c = tables(make_extension_spec(1, 2, 0.4), np.exp(0.3j))
+        for values in (c.alpha, c.beta, c.gamma):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
 
 # ------------------------------------------------ far factor and memory
